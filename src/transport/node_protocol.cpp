@@ -112,6 +112,10 @@ bool NodeProtocol::on_round(sim::Round round,
       ++metrics_.stale_frames;
       continue;
     }
+    if (!plausible(envelope.payload)) {
+      ++metrics_.invalid_frames;
+      continue;
+    }
     accepted_.push_back(&envelope);
   }
 
@@ -156,15 +160,13 @@ bool NodeProtocol::on_round(sim::Round round,
 // --- sampler phase ----------------------------------------------------------
 
 void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
-  const int d = table_.dimension();
   // Resynchronize from the freshest state seen (own or broadcast), then
   // apply this primitive round's deduplicated supernode messages.
   const SamplerState* best = nullptr;
   super_dedup_.clear();
   for (const auto* envelope : accepted_) {
     const Message& msg = envelope->payload;
-    if (msg.kind == MsgKind::kStateBroadcast &&
-        msg.state.blocks.size() == static_cast<std::size_t>(d)) {
+    if (msg.kind == MsgKind::kStateBroadcast) {
       const std::int32_t best_seq =
           best != nullptr ? best->seq
                           : static_cast<std::int32_t>(state_->seq);
@@ -199,15 +201,11 @@ void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
 }
 
 void NodeProtocol::sampler_sync_round(Outbox& out) {
-  const int d = table_.dimension();
   const Message* winner = nullptr;
   sim::NodeId winner_from = sim::kNoNode;
   for (const auto* envelope : accepted_) {
     const Message& msg = envelope->payload;
-    if (msg.kind != MsgKind::kCandidate ||
-        msg.state.blocks.size() != static_cast<std::size_t>(d)) {
-      continue;
-    }
+    if (msg.kind != MsgKind::kCandidate) continue;
     const bool better =
         winner == nullptr || msg.state.seq > winner->state.seq ||
         (msg.state.seq == winner->state.seq && envelope->from < winner_from);
@@ -591,6 +589,37 @@ void NodeProtocol::emit(Outbox& out, sim::NodeId to, Message msg) {
 
 bool NodeProtocol::current_tag(const Message& msg) const {
   return msg.epoch == epoch_ && msg.attempt == attempt_;
+}
+
+bool NodeProtocol::plausible(const Message& msg) const {
+  const int d = table_.dimension();
+  const std::uint64_t supernodes = table_.supernodes();
+  switch (msg.kind) {
+    case MsgKind::kCandidate:
+    case MsgKind::kStateBroadcast: {
+      const SamplerState& state = msg.state;
+      if (state.seq < 0 || state.seq > primitive_rounds_ ||
+          state.blocks.size() != static_cast<std::size_t>(d)) {
+        return false;
+      }
+      for (const auto& block : state.blocks) {
+        for (const std::uint64_t x : block) {
+          if (x >= supernodes) return false;
+        }
+      }
+      return true;
+    }
+    case MsgKind::kSuper: {
+      // serve() answers a failed extraction with {0, 0, false}: only a
+      // successful response is fed into a block.
+      const SuperMsg& super = msg.super;
+      return super.is_request || !super.resp_ok ||
+             (super.resp_j >= 1 && super.resp_j <= d &&
+              super.resp_vertex < supernodes);
+    }
+    default:
+      return true;
+  }
 }
 
 std::vector<sim::NodeId> NodeProtocol::peers() const {

@@ -78,6 +78,7 @@ class NodeProtocol {
     std::uint64_t bits_sent = 0;      ///< protocol frames only
     std::uint64_t bits_received = 0;  ///< protocol frames only
     std::uint64_t stale_frames = 0;   ///< mismatched epoch/attempt tags
+    std::uint64_t invalid_frames = 0;  ///< current tag, implausible content
     bool lookup_ok = false;  ///< DHT smoke reply reached us
     bool finished = false;
   };
@@ -157,6 +158,11 @@ class NodeProtocol {
   void emit(Outbox& out, sim::NodeId to, Message msg);
   /// True iff the frame belongs to the current (epoch, attempt).
   [[nodiscard]] bool current_tag(const Message& msg) const;
+  /// True iff the fields the phase handlers index with are in range:
+  /// sampler states carry d blocks of supernode ids below 2^d and a seq in
+  /// [0, P]; a successful sampler response names a block in [1, d] and a
+  /// supernode below 2^d. Frames arrive from outside on the live path.
+  [[nodiscard]] bool plausible(const Message& msg) const;
 
   sim::NodeId self_;
   Config config_;

@@ -1,9 +1,9 @@
 // Tests for reconfnet_lint (tools/lint/): one test per rule id, driven by the
 // fixture files in tests/lint_fixtures/, plus coverage for the suppression
 // syntax, the config parser, and the layer map. The fixtures directory is
-// excluded from the repo-wide walk in tools/lint/main.cpp, so the deliberate
-// violations below never reach the real gate; the tests feed them to the
-// Driver by hand under synthetic repo-relative paths.
+// excluded from the repo-wide walk in tools/reconfnet_check.cpp, so the
+// deliberate violations below never reach the real gate; the tests feed them
+// to the Driver by hand under synthetic repo-relative paths.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -298,11 +298,12 @@ TEST(TextscanToml, EmptyArrayValueYieldsNoItems) {
 }
 
 // --- shared SARIF writer ----------------------------------------------------
-// All four checkers emit through textscan::write_sarif; the umbrella driver
-// (tools/run_checks.sh) then merges the per-tool logs into one file, so the
-// writer must keep rule ids namespaced per run and mark suppressed results.
-// Findings from two different tools (lint RNL ids, racecheck RNR ids) in one
-// run pin that nothing in the writer assumes a single rule prefix.
+// reconfnet_check (tools/reconfnet_check.cpp) writes the findings of all
+// five checker families through one textscan::write_sarif call, so the
+// writer must keep every family's rule ids distinct in one run and mark
+// suppressed results. Findings from two families (lint RNL ids, racecheck
+// RNR ids) in one run pin that nothing in the writer assumes a single rule
+// prefix.
 
 std::size_t count_of(const std::string& haystack, const std::string& needle) {
   std::size_t count = 0;

@@ -337,8 +337,8 @@ TEST(Racecheck, AllowCarveOutDisablesARulePerPath) {
 }
 
 // --- the real spec against the real tree ------------------------------------
-// (The ctest entry racecheck_test runs the CLI against the repository; this
-// just pins that the shipped spec parses.)
+// (The ctest entry racecheck_test runs reconfnet_check against the
+// repository; this just pins that the shipped spec parses.)
 
 TEST(Racecheck, ShippedSpecParses) {
   const std::string text = reconfnet::toolcheck::read_fixture_file(

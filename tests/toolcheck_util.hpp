@@ -1,10 +1,11 @@
 // Shared scaffolding for the static-checker test suites (lint_test.cpp,
-// protocheck_test.cpp, hotcheck_test.cpp). Each suite drives its tool's
-// Driver in-process against fixture files under tests/<tool>_fixtures/;
-// the helpers here are the tool-independent parts: reading a fixture off
-// disk and projecting a Result down to the lines one rule fired on.
+// protocheck_test.cpp, hotcheck_test.cpp, racecheck_test.cpp,
+// oraclecheck_test.cpp). Each suite drives its family's Driver in-process
+// against fixture files under tests/<family>_fixtures/; the helpers here are
+// the family-independent parts: reading a fixture off disk and projecting a
+// Result down to the lines one rule fired on.
 //
-// The tools share the textscan Finding/Result shape but are otherwise
+// The families share the textscan Finding/Result shape but are otherwise
 // separate types, so `lines_of` is a template over any result holding a
 // `findings` vector of textscan::Finding.
 #pragma once

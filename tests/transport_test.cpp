@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -110,7 +112,7 @@ TEST(Wire, RejectsCorruptedFrames) {
   EXPECT_FALSE(decode(corrupt, back));
 
   corrupt = bytes;
-  corrupt.resize(corrupt.size() - 1);  // truncated body
+  corrupt.pop_back();  // truncated body
   EXPECT_FALSE(decode(corrupt, back));
 
   corrupt = bytes;
@@ -429,6 +431,74 @@ TEST(InprocDeployment, CrashWithRestartRejoinsWithinTheEpoch) {
   EXPECT_EQ(report.finished, config.nodes);
   EXPECT_EQ(deployment.node(7).metrics().epochs_completed, 1);
   EXPECT_GT(deployment.node(7).metrics().resyncs, 0);
+}
+
+// --- forged frames ----------------------------------------------------------
+// On the live path frames arrive from outside. A frame that decodes cleanly
+// and carries the current epoch/attempt tag, but holds a value a phase
+// handler would index with out of range, must be rejected and counted in
+// on_round's accept loop before any handler sees it.
+
+constexpr int kForgedDim = 3;
+
+NodeProtocol lone_node() {
+  std::vector<sim::NodeId> ids(64);
+  std::iota(ids.begin(), ids.end(), sim::NodeId{0});
+  support::Rng rng(1);
+  return NodeProtocol(0, dos::GroupTable::random(kForgedDim, ids, rng), {});
+}
+
+/// P, the sampler's primitive-round count (an attempt is 2P + d + 6 rounds).
+int primitive_rounds(const NodeProtocol& node) {
+  return (node.epoch_rounds() - kForgedDim - 6) / 2;
+}
+
+/// Runs one whole attempt of `node` with empty inboxes, except that
+/// `frames` (tagged epoch 0, attempt 0) arrive at round `at`. The attempt
+/// spans the reorganization rounds that would use an adopted forged state.
+void run_attempt_with(NodeProtocol& node, sim::Round at,
+                      const std::vector<Message>& frames) {
+  std::vector<sim::Envelope<Message>> forged;
+  for (const Message& frame : frames) {
+    forged.push_back(sim::Envelope<Message>{1, 0, frame});
+  }
+  NodeProtocol::Outbox out;
+  const sim::Round end = node.epoch_rounds();
+  for (sim::Round round = 0; round < end; ++round) {
+    const std::span<const sim::Envelope<Message>> inbox =
+        round == at ? std::span<const sim::Envelope<Message>>(forged)
+                    : std::span<const sim::Envelope<Message>>();
+    node.on_round(round, inbox, out, {});
+    out.clear();
+  }
+}
+
+TEST(ForgedFrame, SuperResponseNamingBlockZeroIsRejected) {
+  NodeProtocol node = lone_node();
+  Message forged;
+  forged.kind = MsgKind::kSuper;
+  forged.super.seq = 0;  // consumed by the first primitive round
+  forged.super.resp_ok = true;
+  forged.super.resp_j = 0;  // blocks are numbered 1..d
+  // serve()'s answer to a failed extraction, {0, 0, false}, stays legal.
+  Message failed = forged;
+  failed.super.resp_ok = false;
+  run_attempt_with(node, /*at=*/0, {forged, failed});
+  EXPECT_EQ(node.metrics().invalid_frames, 1u);
+  EXPECT_EQ(node.metrics().resyncs, 0);
+}
+
+TEST(ForgedFrame, BroadcastStateWithUnknownSupernodeIsRejected) {
+  NodeProtocol node = lone_node();
+  const int p = primitive_rounds(node);
+  Message forged;
+  forged.kind = MsgKind::kStateBroadcast;
+  forged.state.seq = p;  // a finished sampler: reorg round A reads block 1
+  forged.state.blocks.resize(kForgedDim);
+  forged.state.blocks[0].assign(64, std::uint64_t{1} << kForgedDim);
+  run_attempt_with(node, /*at=*/2 * p - 2, {forged});
+  EXPECT_EQ(node.metrics().invalid_frames, 1u);
+  EXPECT_EQ(node.metrics().resyncs, 0);
 }
 
 // --- live UDP smoke ---------------------------------------------------------

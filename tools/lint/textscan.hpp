@@ -1,12 +1,12 @@
-// Shared source-scanning machinery for the reconfnet static checkers
-// (reconfnet_lint in tools/lint/, reconfnet_protocheck in tools/protocheck/,
-// reconfnet_hotcheck in tools/hotcheck/, reconfnet_racecheck in
-// tools/racecheck/, reconfnet_oraclecheck in tools/oraclecheck/).
+// Shared source-scanning machinery for the five reconfnet static-checker
+// families (tools/lint/, tools/protocheck/, tools/hotcheck/,
+// tools/racecheck/, tools/oraclecheck/), all run by one CLI,
+// tools/reconfnet_check.cpp.
 //
-// The tools are deliberately zero-dependency: they tokenise and light-parse
-// the sources themselves (no libclang), so they build and run on the
-// gcc-only dev container and in CI alike, and both can be bootstrap-compiled
-// from a handful of files with no build tree configured. Everything that is
+// The checkers are deliberately zero-dependency: they tokenise and
+// light-parse the sources themselves (no libclang), so they build and run on
+// the gcc-only dev container and in CI alike, and reconfnet_check can be
+// bootstrap-compiled from a handful of files with no build tree configured. Everything that is
 // not rule logic lives here:
 //
 //   * Finding              — one rule-coded diagnostic (file:line: RULE msg)
@@ -229,10 +229,9 @@ bool parse_string_array(const std::string& value,
 // ---------------------------------------------------------------------------
 // Standard informational CLI flags
 
-/// Version stamp shared by the reconfnet checkers (reconfnet_lint,
-/// reconfnet_protocheck, reconfnet_hotcheck, reconfnet_racecheck,
-/// reconfnet_oraclecheck); bumped when a rule set or the shared scanning
-/// layer changes shape.
+/// Version stamp of reconfnet_check and its five checker families (lint,
+/// protocheck, hotcheck, racecheck, oraclecheck); bumped when a rule set or
+/// the shared scanning layer changes shape.
 inline constexpr const char* kToolsVersion = "1.3.0";
 
 /// One rule id plus its one-line summary — the unit of --list-rules output

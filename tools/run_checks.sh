@@ -1,112 +1,70 @@
 #!/usr/bin/env bash
-# Umbrella driver for the five reconfnet checkers: reconfnet_lint
-# (determinism + layering + hygiene), reconfnet_protocheck (protocol
-# conformance), reconfnet_hotcheck (hot-path allocations + copies),
-# reconfnet_racecheck (concurrency safety + determinism under parallelism)
-# and reconfnet_oraclecheck (t-late adversary information flow). Runs each
-# gate, prints one summary table, and exits non-zero if any gate found
-# something. Per-tool logs and SARIF files land in one directory so CI
-# uploads a single artifact; the merged SARIF combines all five runs into
-# one SARIF 2.1.0 log.
+# Run reconfnet_check (tools/reconfnet_check.cpp), the repo's static checker:
+# lint (determinism, layering, hygiene), protocheck (protocol conformance),
+# hotcheck (hot-path allocations and copies), racecheck (concurrency safety)
+# and oraclecheck (t-late adversary information flow), all in one run. Exits
+# with the checker's status: 0 clean, 1 findings, 2 usage/configuration
+# error.
+#
+# The checker is zero-dependency: with no configured build tree it is
+# bootstrap-compiled on the spot with ${CXX:-c++}, so the gate runs
+# everywhere, including toolchain-only containers.
 #
 # Usage:
-#   tools/run_checks.sh [build-dir]
+#   tools/run_checks.sh [build-dir] [args...]
 #
-#   build-dir  build tree to take the checker binaries from (default:
-#              auto-detected by each run script; bootstrap-compiled when
-#              none is configured)
+#   build-dir  build tree to build and take reconfnet_check from (default:
+#              first configured of build/default, build, build/tidy; with
+#              none, bootstrap-compiled into build/reconfnet_check-bootstrap).
+#              Pass "" to auto-detect when the first argument is a file.
+#   args...    passed through to reconfnet_check, which runs from the repo
+#              root: --sarif FILE, --stale-suppressions, --list-rules,
+#              --version, or file arguments
 #
 # Environment:
-#   CHECKS_DIR    directory for the per-tool logs and SARIF files
-#                 (default: build/checks)
-#   CHECKS_SARIF  also write a merged SARIF 2.1.0 log with all five runs
-#                 (needs python3; for the CI code-scanning upload)
-#   CHECKS_STALE  "1": append each tool's --stale-suppressions report after
-#                 the table (advisory; never affects the exit status)
-#   CXX           compiler for bootstrap builds (default: c++)
-set -uo pipefail
+#   CXX  compiler for the bootstrap build (default: c++)
+set -euo pipefail
 
 repo_root="$(cd -- "$(dirname -- "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "${repo_root}"
 
-build_dir="${1:-}"
-out_dir="${CHECKS_DIR:-build/checks}"
-mkdir -p "${out_dir}"
-
-# name | run script | log/sarif env prefix
-checkers=(
-  "lint LINT"
-  "protocheck PROTOCHECK"
-  "hotcheck HOTCHECK"
-  "racecheck RACECHECK"
-  "oraclecheck ORACLECHECK"
-)
-
-overall=0
-declare -A tool_status
-for entry in "${checkers[@]}"; do
-  read -r name prefix <<< "${entry}"
-  log="${out_dir}/${name}.log"
-  sarif="${out_dir}/${name}.sarif"
-  status=0
-  env "${prefix}_LOG=${log}" "${prefix}_SARIF=${sarif}" \
-    "tools/run_${name}.sh" "${build_dir}" > /dev/null 2>> "${log}" \
-    || status=$?
-  tool_status[${name}]="${status}"
-  if [[ "${status}" -ne 0 ]]; then
-    overall=1
-    echo "--- reconfnet_${name} (exit ${status}) ---" >&2
-    cat "${log}" >&2
-  fi
-done
-
-# Summary table: counts come from each tool's own stderr summary line
-# ("N files, ... M findings (K suppressed)"), captured in the log.
-printf '%-22s %9s %11s %7s\n' "checker" "findings" "suppressed" "status" >&2
-for entry in "${checkers[@]}"; do
-  read -r name prefix <<< "${entry}"
-  summary="$(grep -Eo '[0-9]+ findings \([0-9]+ suppressed\)' \
-    "${out_dir}/${name}.log" | tail -1)"
-  findings="$(cut -d' ' -f1 <<< "${summary:-? findings}")"
-  suppressed="$(grep -Eo '\([0-9]+' <<< "${summary:-(?}" | tr -d '(')"
-  case "${tool_status[${name}]}" in
-    0) label="ok" ;;
-    1) label="FINDINGS" ;;
-    *) label="ERROR" ;;
-  esac
-  printf '%-22s %9s %11s %7s\n' "reconfnet_${name}" "${findings:-?}" \
-    "${suppressed:-?}" "${label}" >&2
-done
-
-if [[ "${CHECKS_STALE:-0}" == "1" ]]; then
-  echo >&2
-  echo "stale suppressions (advisory):" >&2
-  for entry in "${checkers[@]}"; do
-    read -r name prefix <<< "${entry}"
-    "tools/run_${name}.sh" "${build_dir}" --stale-suppressions \
-      2> /dev/null || true
+build_dir=""
+if [[ $# -gt 0 && "$1" != -* ]]; then
+  build_dir="$1"
+  shift
+fi
+if [[ -z "${build_dir}" ]]; then
+  for candidate in build/default build build/tidy; do
+    if [[ -f "${candidate}/CMakeCache.txt" ]]; then
+      build_dir="${candidate}"
+      break
+    fi
   done
 fi
 
-if [[ -n "${CHECKS_SARIF:-}" ]]; then
-  python3 - "${CHECKS_SARIF}" "${out_dir}"/*.sarif <<'EOF'
-import json
-import sys
-
-out_path, inputs = sys.argv[1], sys.argv[2:]
-merged = None
-for path in inputs:
-    with open(path) as f:
-        log = json.load(f)
-    if merged is None:
-        merged = {k: v for k, v in log.items() if k != "runs"}
-        merged["runs"] = []
-    merged["runs"].extend(log["runs"])
-with open(out_path, "w") as f:
-    json.dump(merged, f, indent=2)
-    f.write("\n")
-print(f"merged {len(inputs)} SARIF logs into {out_path}", file=sys.stderr)
-EOF
+bin=""
+if [[ -n "${build_dir}" && -f "${build_dir}/CMakeCache.txt" ]]; then
+  # A tree configured before reconfnet_check existed has no such target;
+  # fall through to the bootstrap compile instead of failing.
+  if cmake --build "${build_dir}" --target reconfnet_check -- -j "$(nproc)" \
+    > /dev/null 2>&1; then
+    bin="${build_dir}/tools/reconfnet_check"
+  else
+    echo "run_checks: ${build_dir} cannot build reconfnet_check;" \
+      "bootstrapping" >&2
+  fi
 fi
 
-exit "${overall}"
+if [[ -z "${bin}" ]]; then
+  bin="build/reconfnet_check-bootstrap/reconfnet_check"
+  sources=(tools/reconfnet_check.cpp
+    tools/{lint,protocheck,hotcheck,racecheck,oraclecheck}/*.cpp)
+  if [[ ! -x "${bin}" ||
+        -n "$(find "${sources[@]}" tools/*/*.hpp -newer "${bin}")" ]]; then
+    echo "run_checks: compiling ${bin}" >&2
+    mkdir -p "$(dirname "${bin}")"
+    "${CXX:-c++}" -std=c++20 -O1 "${sources[@]}" -o "${bin}"
+  fi
+fi
+
+exec "${bin}" "$@"
