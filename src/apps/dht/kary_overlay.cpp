@@ -1,93 +1,33 @@
 #include "apps/dht/kary_overlay.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include <bit>
 
+#include "dos/group_epoch.hpp"
 #include "graph/connectivity.hpp"
-#include "graph/hypercube.hpp"
-#include "sampling/hypercube_sampler.hpp"
 #include "sim/stale_view.hpp"
 
 namespace reconfnet::apps {
-namespace {
-
-bool is_power_of_two(int value) {
-  return value >= 2 && (value & (value - 1)) == 0;
-}
-
-int log2_exact(int value) {
-  int bits = 0;
-  while ((1 << bits) < value) ++bits;
-  return bits;
-}
-
-}  // namespace
-
-int KaryGroupedOverlay::choose_dimension(std::size_t n, int arity,
-                                         double group_c) {
-  const double budget = static_cast<double>(n) /
-                        (group_c * std::log2(static_cast<double>(n)));
-  int d = 1;
-  double next = static_cast<double>(arity) * arity;
-  while (next <= budget && d < 20) {
-    ++d;
-    next *= arity;
-  }
-  return d;
-}
 
 KaryGroupedOverlay::KaryGroupedOverlay(const Config& config)
     : config_(config),
       rng_(config.seed),
-      cube_(config.arity,
-            choose_dimension(config.size, config.arity, config.group_c)),
-      bits_per_digit_(0) {
-  if (!is_power_of_two(config.arity)) {
-    throw std::invalid_argument(
-        "KaryGroupedOverlay: arity must be a power of two");
-  }
-  bits_per_digit_ = log2_exact(config.arity);
-  groups_.resize(cube_.size());
-  for (std::size_t i = 0; i < config.size; ++i) {
-    groups_[rng_.below(cube_.size())].push_back(
-        static_cast<sim::NodeId>(i));
-  }
-  for (auto& members : groups_) {
-    if (members.empty()) {
-      auto largest = std::max_element(
-          groups_.begin(), groups_.end(),
-          [](const auto& a, const auto& b) { return a.size() < b.size(); });
-      members.push_back(largest->back());
-      largest->pop_back();
-    }
-    std::sort(members.begin(), members.end());
-  }
-  rebuild_index();
+      cube_(config.arity, dos::choose_dimension(config.size, config.arity,
+                                                config.group_c)),
+      // k-ary vertices are the binary hypercube's vertices over d * log2(k)
+      // coordinates (identity encoding for k = 2^j).
+      table_(dos::GroupTable::random(
+          cube_.dimension() * std::countr_zero(static_cast<unsigned>(
+                                  config.arity)),
+          config.size, rng_)) {
   push_snapshot();
-}
-
-void KaryGroupedOverlay::rebuild_index() {
-  node_to_supernode_.clear();
-  for (std::uint64_t x = 0; x < groups_.size(); ++x) {
-    for (sim::NodeId node : groups_[x]) node_to_supernode_[node] = x;
-  }
-}
-
-std::vector<sim::NodeId> KaryGroupedOverlay::all_nodes() const {
-  std::vector<sim::NodeId> nodes;
-  nodes.reserve(config_.size);
-  for (const auto& members : groups_) {
-    nodes.insert(nodes.end(), members.begin(), members.end());
-  }
-  return nodes;
 }
 
 std::vector<std::pair<sim::NodeId, sim::NodeId>>
 KaryGroupedOverlay::overlay_edges() const {
   std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
-  for (std::uint64_t x = 0; x < groups_.size(); ++x) {
-    const auto& members = groups_[x];
+  for (std::uint64_t x = 0; x < cube_.size(); ++x) {
+    const auto& members = table_.group(x);
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = i + 1; j < members.size(); ++j) {
         edges.emplace_back(members[i], members[j]);
@@ -96,23 +36,11 @@ KaryGroupedOverlay::overlay_edges() const {
     for (std::uint64_t y : cube_.neighbors(x)) {
       if (y < x) continue;
       for (sim::NodeId a : members) {
-        for (sim::NodeId b : groups_[y]) edges.emplace_back(a, b);
+        for (sim::NodeId b : table_.group(y)) edges.emplace_back(a, b);
       }
     }
   }
   return edges;
-}
-
-std::size_t KaryGroupedOverlay::min_group_size() const {
-  std::size_t best = groups_.front().size();
-  for (const auto& members : groups_) best = std::min(best, members.size());
-  return best;
-}
-
-std::size_t KaryGroupedOverlay::max_group_size() const {
-  std::size_t best = 0;
-  for (const auto& members : groups_) best = std::max(best, members.size());
-  return best;
 }
 
 bool KaryGroupedOverlay::group_available(
@@ -124,7 +52,8 @@ bool KaryGroupedOverlay::group_available(
   const auto& before = (round > 0 && round - 1 < blocked_per_round.size())
                            ? blocked_per_round[round - 1]
                            : kNone;
-  return std::any_of(groups_[x].begin(), groups_[x].end(),
+  const auto& members = table_.group(x);
+  return std::any_of(members.begin(), members.end(),
                      [&](sim::NodeId node) {
                        return !now.contains(node) && !before.contains(node);
                      });
@@ -133,7 +62,7 @@ bool KaryGroupedOverlay::group_available(
 void KaryGroupedOverlay::push_snapshot() {
   sim::TopologySnapshot snap;
   snap.round = round_;
-  snap.nodes = all_nodes();
+  snap.nodes = table_.all_nodes();
   if (config_.snapshot_edges) snap.edges = overlay_edges();
   snapshots_.push(std::move(snap));
 }
@@ -159,10 +88,10 @@ void KaryGroupedOverlay::advance_round(const Attack& attack,
     snapshots_.ensure_lateness_horizon(attack.lateness);
     const sim::StaleSnapshotView stale =
         sim::serve_stale(snapshots_, round_, attack.lateness);
-    const auto universe = all_nodes();
+    const auto universe = table_.all_nodes();
     blocked = attack.adversary->choose(stale, universe, budget, round_);
   }
-  for (const auto& members : groups_) {
+  for (const auto& members : table_.groups()) {
     std::size_t available = 0;
     for (sim::NodeId node : members) {
       if (!blocked.contains(node) && !blocked_prev_.contains(node)) {
@@ -179,7 +108,8 @@ void KaryGroupedOverlay::advance_round(const Attack& attack,
   // non-empty and the hypercube is connected), so skip materializing the
   // quadratic edge list — the dominant cost at n = 10^5 — in quiet rounds.
   if (!blocked.empty() &&
-      !graph::is_connected_excluding(all_nodes(), overlay_edges(), blocked)) {
+      !graph::is_connected_excluding(table_.all_nodes(), overlay_edges(),
+                                     blocked)) {
     ++report.disconnected_rounds;
   }
   blocked_prev_ = std::move(blocked);
@@ -191,104 +121,46 @@ void KaryGroupedOverlay::advance_round(const Attack& attack,
 KaryGroupedOverlay::EpochReport KaryGroupedOverlay::run_epoch(
     const Attack& attack) {
   EpochReport report;
-  // k-ary vertices are sampled through the binary hypercube over
-  // d * log2(k) coordinates (identity vertex encoding for k = 2^j).
-  const int binary_dims = cube_.dimension() * bits_per_digit_;
-
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      config_.size, config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c = static_cast<double>(max_group_size() + 1) /
-                          static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, binary_dims, sampling_config);
-
-  std::vector<sampling::HypercubeSamplerCore> cores;
-  std::vector<support::Rng> core_rngs;
+  const auto schedule = sampling::group_schedule(
+      sampling::SizeEstimate::from_true_size(config_.size,
+                                             config_.size_estimate_slack),
+      table_.dimension(), table_.max_group_size(), config_.sampling);
   auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 11);
-  for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-    cores.emplace_back(binary_dims, x, schedule);
-    core_rngs.push_back(epoch_rng.split(x));
-    cores.back().init(core_rngs.back());
-  }
-
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    advance_round(attack, report);
-    advance_round(attack, report);
-    std::vector<std::vector<
-        std::pair<std::uint64_t, sampling::HypercubeSamplerCore::Request>>>
-        outgoing(cube_.size());
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      outgoing[x] = cores[x].make_requests(i, core_rngs[x]);
-    }
-    advance_round(attack, report);
-    advance_round(attack, report);
-    std::vector<std::vector<sampling::HypercubeSamplerCore::Response>>
-        responses(cube_.size());
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      for (const auto& [dest, request] : outgoing[x]) {
-        // Request and response legs of the sampler exchange are ordinary
-        // wire traffic to the fault layer; a lost leg starves the requester
-        // (and may fail the epoch through the dry-sampler check below).
-        if (fault_hook_ != nullptr && message_lost(x, dest)) {
-          ++report.fault_dropped_messages;
-          continue;
-        }
-        auto response = cores[dest].serve(request, i, core_rngs[dest]);
-        if (fault_hook_ != nullptr &&
-            message_lost(dest, request.requester)) {
-          ++report.fault_dropped_messages;
-          continue;
-        }
-        responses[request.requester].push_back(std::move(response));
-      }
-    }
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      cores[x].discard_consumed(i);
-    }
-    for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-      for (const auto& response : responses[x]) {
-        cores[x].accept(response, core_rngs[x]);
-      }
-    }
-  }
+  // Request and response legs of the sampler exchange are ordinary wire
+  // traffic to the fault layer; a lost leg starves the requester (and may
+  // fail the epoch through the dry-sampler check below).
+  const auto sampled = dos::sample_supernodes(
+      table_.dimension(), table_.supernodes(), schedule, epoch_rng,
+      [&](int /*iteration*/, bool /*synchronization*/,
+          const auto& /*cores*/) { advance_round(attack, report); },
+      [&](std::uint64_t from, std::uint64_t to) {
+        return fault_hook_ != nullptr && message_lost(from, to);
+      });
+  report.fault_dropped_messages = sampled.lost_messages;
   for (int r = 0; r < 4; ++r) advance_round(attack, report);
 
   auto finish = [&](bool success, std::string reason) {
     report.success = success;
     report.failure_reason = std::move(reason);
-    report.min_group_size = min_group_size();
-    report.max_group_size = max_group_size();
+    report.min_group_size = table_.min_group_size();
+    report.max_group_size = table_.max_group_size();
     return report;
   };
 
   if (report.silenced_group_rounds > 0) {
     return finish(false, "a group was silenced");
   }
-  std::size_t dry = 0;
-  for (const auto& core : cores) dry += core.dry_events();
-  if (dry > 0) return finish(false, "supernode sampling ran dry");
-
-  std::vector<std::vector<sim::NodeId>> fresh(cube_.size());
-  for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-    const auto& members = groups_[x];
-    const auto& samples = cores[x].samples();
-    if (samples.size() < members.size()) {
+  if (sampled.dry_events > 0) {
+    return finish(false, "supernode sampling ran dry");
+  }
+  switch (dos::reassign_to_samples(table_, sampled.cores)) {
+    case dos::Reassignment::kSampleShortage:
       return finish(false, "too few samples for a group");
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      fresh[samples[i]].push_back(members[i]);
-    }
+    case dos::Reassignment::kEmptySupernode:
+      return finish(false, "reassignment left a supernode empty");
+    case dos::Reassignment::kDone:
+      break;
   }
-  if (std::any_of(fresh.begin(), fresh.end(),
-                  [](const auto& members) { return members.empty(); })) {
-    return finish(false, "reassignment left a supernode empty");
-  }
-  for (auto& members : fresh) std::sort(members.begin(), members.end());
-  groups_ = std::move(fresh);
-  rebuild_index();
   push_snapshot();
   report.reorganized = true;
   return finish(report.disconnected_rounds == 0,

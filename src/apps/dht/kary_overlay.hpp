@@ -11,10 +11,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "adversary/dos.hpp"
+#include "dos/group_table.hpp"
 #include "graph/kary_hypercube.hpp"
 #include "sampling/schedule.hpp"
 #include "sim/blocked.hpp"
@@ -77,17 +77,13 @@ class KaryGroupedOverlay {
   [[nodiscard]] std::size_t size() const { return config_.size; }
   [[nodiscard]] sim::Round round() const { return round_; }
 
-  [[nodiscard]] const std::vector<sim::NodeId>& group(std::uint64_t x) const {
-    return groups_[x];
-  }
-  [[nodiscard]] std::uint64_t supernode_of(sim::NodeId node) const {
-    return node_to_supernode_.at(node);
-  }
-  [[nodiscard]] std::vector<sim::NodeId> all_nodes() const;
+  /// The groups, indexed by k-ary vertex; vertex x is binary supernode x of
+  /// the d * log2(k)-dimensional table.
+  [[nodiscard]] const dos::GroupTable& groups() const { return table_; }
+  /// Cliques inside groups plus complete bipartite connections between
+  /// groups of adjacent k-ary vertices.
   [[nodiscard]] std::vector<std::pair<sim::NodeId, sim::NodeId>>
   overlay_edges() const;
-  [[nodiscard]] std::size_t min_group_size() const;
-  [[nodiscard]] std::size_t max_group_size() const;
 
   /// Deterministic key-to-supernode placement for the DHT layer.
   [[nodiscard]] std::uint64_t supernode_of_key(std::uint64_t key_hash) const {
@@ -101,23 +97,17 @@ class KaryGroupedOverlay {
       std::uint64_t x, std::size_t round,
       std::span<const sim::BlockedSet> blocked_per_round) const;
 
-  /// Chooses d maximal with k^d <= n / (c log2 n), at least 1.
-  static int choose_dimension(std::size_t n, int arity, double group_c);
-
  private:
   Config config_;
   support::Rng rng_;
   graph::KaryHypercube cube_;
-  int bits_per_digit_;
-  std::vector<std::vector<sim::NodeId>> groups_;  // by k-ary vertex
-  std::unordered_map<sim::NodeId, std::uint64_t> node_to_supernode_;
+  dos::GroupTable table_;
   sim::SnapshotBuffer snapshots_;
   sim::BlockedSet blocked_prev_;
   sim::Round round_ = 0;
   sim::DeliveryHook* fault_hook_ = nullptr;
   std::vector<sim::Round> fate_;  ///< fault-hook scratch
 
-  void rebuild_index();
   void push_snapshot();
   void advance_round(const Attack& attack, EpochReport& report);
   /// Offers one sampler-exchange message to the fault hook; true = lost

@@ -6,8 +6,8 @@
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
+#include "dos/group_epoch.hpp"
 #include "graph/connectivity.hpp"
-#include "sampling/hypercube_sampler.hpp"
 #include "sim/stale_view.hpp"
 #include "support/sorted.hpp"
 
@@ -34,24 +34,12 @@ SuperGroups CombinedOverlay::bootstrap(const Config& config,
                                        support::Rng& rng,
                                        sim::IdAllocator& ids) {
   const int d = initial_dimension(config.initial_size, config.group_c);
-  const std::uint64_t count = std::uint64_t{1} << d;
-  std::vector<std::vector<sim::NodeId>> groups(count);
-  for (std::size_t i = 0; i < config.initial_size; ++i) {
-    groups[rng.below(count)].push_back(ids.allocate());
-  }
+  std::vector<sim::NodeId> nodes(config.initial_size);
+  for (auto& node : nodes) node = ids.allocate();
   // A uniform assignment can leave rare outliers outside Equation (1); the
   // enforce pass immediately after construction repairs them.
-  for (auto& members : groups) {
-    if (members.empty()) {
-      // Vanishingly rare at sane sizes: steal a node from the largest group.
-      auto largest = std::max_element(
-          groups.begin(), groups.end(),
-          [](const auto& a, const auto& b) { return a.size() < b.size(); });
-      members.push_back(largest->back());
-      largest->pop_back();
-    }
-  }
-  auto super = SuperGroups::uniform(d, std::move(groups));
+  auto super =
+      SuperGroups::uniform(d, dos::GroupTable::random(d, nodes, rng).groups());
   support::Rng enforce_rng = rng.split(42);
   super.enforce(config.group_c, enforce_rng);
   return super;
@@ -244,33 +232,16 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
 
   // Schedule over the class hypercube; every class needs enough samples for
   // all its placements.
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      std::max<std::size_t>(placed_total, 4), config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c = static_cast<double>(max_class + 1) /
-                          static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, std::max(d_min, 1),
-                                   sampling_config);
-
-  std::vector<sampling::HypercubeSamplerCore> cores;
-  std::vector<support::Rng> core_rngs;
-  cores.reserve(class_count);
-  core_rngs.reserve(class_count);
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 5);
   const int cube_dim = std::max(d_min, 1);
-  for (std::uint64_t x = 0; x < class_count; ++x) {
-    cores.emplace_back(cube_dim, x, schedule);
-    core_rngs.push_back(epoch_rng.split(x));
-    cores.back().init(core_rngs.back());
-  }
+  const auto schedule = sampling::group_schedule(
+      sampling::SizeEstimate::from_true_size(
+          std::max<std::size_t>(placed_total, 4), config_.size_estimate_slack),
+      cube_dim, max_class, config_.sampling);
 
   const double avg_group =
       static_cast<double>(super_.node_count()) /
       static_cast<double>(super_.supernode_count());
-  auto state_bits_now = [&]() -> std::uint64_t {
+  auto state_bits = [&](const auto& cores) -> std::uint64_t {
     std::size_t entries = 0;
     for (int j = 1; j <= cube_dim; ++j) entries += cores[0].block(j).size();
     const double per_entry = static_cast<double>(cube_dim) +
@@ -281,53 +252,26 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
            static_cast<std::uint64_t>(avg_group) * kIdBits;
   };
 
-  // Per-class scratch reused across sampling iterations; `outgoing` entries
-  // are overwritten wholesale, `responses` entries are cleared (capacity
-  // retained) at the top of each iteration.
-  std::vector<std::vector<
-      std::pair<std::uint64_t, sampling::HypercubeSamplerCore::Request>>>
-      outgoing(class_count);
-  std::vector<std::vector<sampling::HypercubeSamplerCore::Response>>
-      responses(class_count);
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    const auto state_bits = state_bits_now();
-    advance_round(churn, attack, state_bits, report);
-    advance_round(churn, attack, state_bits, report);
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      outgoing[x] = cores[x].make_requests(i, core_rngs[x]);
-    }
-    advance_round(churn, attack, state_bits, report);
-    advance_round(churn, attack, state_bits, report);
-    for (auto& per_class : responses) per_class.clear();
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      for (const auto& [dest, request] : outgoing[x]) {
-        responses[request.requester].push_back(
-            cores[dest].serve(request, i, core_rngs[dest]));
-      }
-    }
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      cores[x].discard_consumed(i);
-    }
-    for (std::uint64_t x = 0; x < class_count; ++x) {
-      for (const auto& response : responses[x]) {
-        cores[x].accept(response, core_rngs[x]);
-      }
-    }
-  }
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 5);
+  const auto sampled = dos::sample_supernodes(
+      cube_dim, class_count, schedule, epoch_rng,
+      [&](int /*iteration*/, bool /*synchronization*/, const auto& cores) {
+        advance_round(churn, attack, state_bits(cores), report);
+      },
+      dos::kNoLoss);
+  const auto& cores = sampled.cores;
 
   // Refinement round: each sampled class vertex is extended to a concrete
   // supernode by the owning class (constant work), then four reorganization
   // rounds as in Section 5.
   for (int r = 0; r < 5; ++r) {
-    advance_round(churn, attack, state_bits_now(), report);
+    advance_round(churn, attack, state_bits(cores), report);
   }
 
   if (report.silenced_group_rounds > 0) {
     return fail("a group was silenced");
   }
-  std::size_t dry = 0;
-  for (const auto& core : cores) dry += core.dry_events();
-  if (dry > 0) return fail("class sampling ran dry");
+  if (sampled.dry_events > 0) return fail("class sampling ran dry");
 
   // Assignment: the i-th placement of class x goes to the supernode obtained
   // by refining the i-th sample of x. The table is keyed by prefix-code label
@@ -396,7 +340,7 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
     audit::enforce(std::move(violations));
   }
   for (int r = 0; r < 2 * report.split_merge.sweeps; ++r) {
-    advance_round(churn, attack, state_bits_now(), report);
+    advance_round(churn, attack, state_bits(cores), report);
   }
   push_snapshot();
 

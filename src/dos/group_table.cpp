@@ -1,14 +1,40 @@
 #include "dos/group_table.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace reconfnet::dos {
+namespace {
+
+/// Largest dimension a GroupTable accepts.
+constexpr int kMaxDimension = 30;
+
+}  // namespace
+
+int choose_dimension(std::size_t n, int arity, double group_c) {
+  if (arity < 2 || !std::has_single_bit(static_cast<unsigned>(arity))) {
+    throw std::invalid_argument(
+        "choose_dimension: arity must be a power of two");
+  }
+  const int bits_per_digit = std::countr_zero(static_cast<unsigned>(arity));
+  const double budget = static_cast<double>(n) /
+                        (group_c * std::log2(static_cast<double>(n)));
+  int d = 1;
+  double next = static_cast<double>(arity) * arity;
+  while (next <= budget && (d + 1) * bits_per_digit <= kMaxDimension) {
+    ++d;
+    next *= arity;
+  }
+  return d;
+}
 
 GroupTable::GroupTable(int dimension,
                        std::vector<std::vector<sim::NodeId>> groups)
     : dimension_(dimension), groups_(std::move(groups)) {
-  if (dimension < 1 || dimension > 30) {
+  if (dimension < 1 || dimension > kMaxDimension) {
     throw std::invalid_argument("GroupTable: dimension out of range");
   }
   if (groups_.size() != supernodes()) {
@@ -51,6 +77,13 @@ GroupTable GroupTable::random(int dimension,
     largest->pop_back();
   }
   return GroupTable(dimension, std::move(groups));
+}
+
+GroupTable GroupTable::random(int dimension, std::size_t n,
+                              support::Rng& rng) {
+  std::vector<sim::NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), sim::NodeId{0});
+  return random(dimension, ids, rng);
 }
 
 std::size_t GroupTable::min_group_size() const {

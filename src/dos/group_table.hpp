@@ -16,6 +16,12 @@
 
 namespace reconfnet::dos {
 
+/// The dimension rule of Sections 5 and 7.2: the largest d >= 1 with
+/// arity^d <= n / (group_c * log2 n), capped so that the d * log2(arity)
+/// binary coordinates fit a GroupTable. arity is 2 for the binary hypercube
+/// and must be a power of two.
+int choose_dimension(std::size_t n, int arity, double group_c);
+
 class GroupTable {
  public:
   /// groups[x] lists the members of supernode x; members are sorted by id
@@ -29,6 +35,8 @@ class GroupTable {
   /// representatives. Requires at least one node per supernode.
   static GroupTable random(int dimension, std::span<const sim::NodeId> nodes,
                            support::Rng& rng);
+  /// The same over the ids 0..n-1.
+  static GroupTable random(int dimension, std::size_t n, support::Rng& rng);
 
   [[nodiscard]] int dimension() const { return dimension_; }
   [[nodiscard]] std::uint64_t supernodes() const {
@@ -39,6 +47,10 @@ class GroupTable {
   /// Members of R(x), ascending by id.
   [[nodiscard]] const std::vector<sim::NodeId>& group(std::uint64_t x) const {
     return groups_[x];
+  }
+  /// Every R(x), indexed by supernode.
+  [[nodiscard]] const std::vector<std::vector<sim::NodeId>>& groups() const {
+    return groups_;
   }
   [[nodiscard]] std::uint64_t supernode_of(sim::NodeId node) const {
     return node_to_supernode_.at(node);

@@ -113,16 +113,9 @@ NodeLevelReport run_node_level_epoch(
   const double avg_group =
       static_cast<double>(n) / static_cast<double>(groups.supernodes());
 
-  // Schedule, with the samples-per-supernode requirement of the final phase.
-  const auto estimate =
-      sampling::SizeEstimate::from_true_size(n, config.size_estimate_slack);
-  auto sampling_config = config.sampling;
-  const double needed_c = static_cast<double>(groups.max_group_size() + 1) /
-                          static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, d, sampling_config);
+  const auto schedule = sampling::group_schedule(
+      sampling::SizeEstimate::from_true_size(n, config.size_estimate_slack), d,
+      groups.max_group_size(), config.sampling);
   const int primitive_rounds = 2 * schedule.iterations + 1;
 
   // Wire sizes (bits). A snapshot carries every multiset entry as a

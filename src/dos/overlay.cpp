@@ -1,14 +1,11 @@
 #include "dos/overlay.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
+#include "dos/group_epoch.hpp"
 #include "graph/connectivity.hpp"
-#include "sampling/hypercube_sampler.hpp"
 #include "sim/stale_view.hpp"
 
 namespace reconfnet::dos {
@@ -17,31 +14,14 @@ namespace {
 /// Wire size of one supernode-level message replicated to a whole group.
 constexpr std::uint64_t kIdBits = 64;
 
-std::vector<sim::NodeId> make_ids(std::size_t n) {
-  std::vector<sim::NodeId> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = i;
-  return ids;
-}
-
 }  // namespace
-
-int DosOverlay::choose_dimension(std::size_t n, double group_c) {
-  const double log_n = std::log2(static_cast<double>(n));
-  const double budget = static_cast<double>(n) / (group_c * log_n);
-  int d = 1;
-  while ((static_cast<double>(std::uint64_t{1} << (d + 1))) <= budget &&
-         d < 30) {
-    ++d;
-  }
-  return d;
-}
 
 DosOverlay::DosOverlay(const Config& config)
     : config_(config),
       rng_(config.seed),
-      groups_(GroupTable::random(choose_dimension(config.size,
-                                                  config.group_c),
-                                 make_ids(config.size), rng_)) {
+      groups_(GroupTable::random(
+          choose_dimension(config.size, /*arity=*/2, config.group_c),
+          config.size, rng_)) {
   edges_ = groups_.overlay_edges();
   push_snapshot();
 }
@@ -135,41 +115,15 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
   EpochReport report;
   const std::size_t n = groups_.size();
   const int d = groups_.dimension();
-  const auto supernode_count = groups_.supernodes();
   const double avg_group = static_cast<double>(n) /
-                           static_cast<double>(supernode_count);
-
-  // The final phase assigns the i-th representative of R(x) to the i-th
-  // sampled supernode, so every supernode needs at least max |R(x)| samples
-  // (beta = 2(1+delta)c in Lemma 16's terms). Raise the schedule constant
-  // adaptively.
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      n, config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c =
-      static_cast<double>(groups_.max_group_size() + 1) /
-      static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  const auto schedule =
-      sampling::hypercube_schedule(estimate, d, sampling_config);
-
-  // One sampler core per supernode; its execution is what the group
-  // replicates (Lemma 14). Randomness is injected per supernode.
-  std::vector<sampling::HypercubeSamplerCore> cores;
-  std::vector<support::Rng> core_rngs;
-  cores.reserve(supernode_count);
-  core_rngs.reserve(supernode_count);
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 3);
-  for (std::uint64_t x = 0; x < supernode_count; ++x) {
-    cores.emplace_back(d, x, schedule);
-    core_rngs.push_back(epoch_rng.split(x));
-    cores.back().init(core_rngs.back());
-  }
+                           static_cast<double>(groups_.supernodes());
+  const auto schedule = sampling::group_schedule(
+      sampling::SizeEstimate::from_true_size(n, config_.size_estimate_slack),
+      d, groups_.max_group_size(), config_.sampling);
 
   // S(x) carries the sampler state: every block entry is a supernode label
   // plus references to that supernode's representatives.
-  auto state_bits_now = [&]() -> std::uint64_t {
+  auto state_bits = [&](const auto& cores) -> std::uint64_t {
     std::size_t entries = 0;
     for (int j = 1; j <= d; ++j) entries += cores[0].block(j).size();
     const double per_entry =
@@ -180,44 +134,22 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
            static_cast<std::uint64_t>(avg_group) * kIdBits;
   };
 
-  // Per-supernode scratch reused across sampling iterations; `outgoing`
-  // entries are overwritten wholesale, `responses` entries are cleared
-  // (capacity retained) at the top of each iteration.
-  std::vector<std::vector<
-      std::pair<std::uint64_t, sampling::HypercubeSamplerCore::Request>>>
-      outgoing(supernode_count);
-  std::vector<std::vector<sampling::HypercubeSamplerCore::Response>>
-      responses(supernode_count);
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    const auto state_bits = state_bits_now();
-    const auto extra = static_cast<std::uint64_t>(
-        static_cast<double>(schedule.m[static_cast<std::size_t>(i)]) *
-        avg_group * static_cast<double>(kIdBits));
-    // Primitive request round = simulation round + synchronization round.
-    advance_round(attack, state_bits, 0, report);
-    advance_round(attack, state_bits, extra, report);
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      outgoing[x] = cores[x].make_requests(i, core_rngs[x]);
-    }
-    // Primitive response round = simulation round + synchronization round.
-    advance_round(attack, state_bits, 0, report);
-    advance_round(attack, state_bits, extra, report);
-    for (auto& per_node : responses) per_node.clear();
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      for (const auto& [dest, request] : outgoing[x]) {
-        responses[request.requester].push_back(
-            cores[dest].serve(request, i, core_rngs[dest]));
-      }
-    }
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      cores[x].discard_consumed(i);
-    }
-    for (std::uint64_t x = 0; x < supernode_count; ++x) {
-      for (const auto& response : responses[x]) {
-        cores[x].accept(response, core_rngs[x]);
-      }
-    }
-  }
+  // Each primitive round is a simulation round plus a synchronization round
+  // in which the group also relays the supernode's outgoing messages.
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 3);
+  const auto sampled = sample_supernodes(
+      d, groups_.supernodes(), schedule, epoch_rng,
+      [&](int i, bool synchronization, const auto& cores) {
+        const auto extra =
+            synchronization
+                ? static_cast<std::uint64_t>(
+                      static_cast<double>(
+                          schedule.m[static_cast<std::size_t>(i)]) *
+                      avg_group * static_cast<double>(kIdBits))
+                : 0;
+        advance_round(attack, state_bits(cores), extra, report);
+      },
+      kNoLoss);
 
   // Final reorganization phase: four rounds of group-to-group traffic
   // (assignments out, new groups gathered, neighbor groups exchanged, new
@@ -227,60 +159,31 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
         avg_group * avg_group * static_cast<double>(d + 1) *
         static_cast<double>(kIdBits));
     for (int r = 0; r < 4; ++r) {
-      advance_round(attack, state_bits_now(), reorg_bits, report);
+      advance_round(attack, state_bits(sampled.cores), reorg_bits, report);
     }
   }
 
+  auto fail = [&](const char* reason) {
+    report.success = false;
+    report.failure_reason = reason;
+    report.min_group_size = groups_.min_group_size();
+    report.max_group_size = groups_.max_group_size();
+    return report;
+  };
   // Lemma 14/15 require at least one available node per group per round; if
   // the adversary ever silenced a whole group, the epoch's simulation is not
   // trustworthy and the old groups stay.
-  if (report.silenced_group_rounds > 0) {
-    report.success = false;
-    report.failure_reason = "a group was silenced";
-    report.min_group_size = groups_.min_group_size();
-    report.max_group_size = groups_.max_group_size();
-    return report;
-  }
-  std::size_t dry = 0;
-  for (const auto& core : cores) dry += core.dry_events();
-  if (dry > 0) {
-    report.success = false;
-    report.failure_reason = "supernode sampling ran dry";
-    report.min_group_size = groups_.min_group_size();
-    report.max_group_size = groups_.max_group_size();
-    return report;
-  }
-
-  // Reassign: the i-th representative (by id) of R(x) moves to the i-th
-  // sampled supernode of x.
-  std::vector<std::vector<sim::NodeId>> new_groups(supernode_count);
-  bool shortage = false;
-  for (std::uint64_t x = 0; x < supernode_count; ++x) {
-    const auto& members = groups_.group(x);  // already sorted by id
-    const auto& samples = cores[x].samples();
-    if (samples.size() < members.size()) {
-      shortage = true;
+  if (report.silenced_group_rounds > 0) return fail("a group was silenced");
+  if (sampled.dry_events > 0) return fail("supernode sampling ran dry");
+  switch (reassign_to_samples(groups_, sampled.cores)) {
+    case Reassignment::kSampleShortage:
+      return fail("too few samples for a group (|R(x)| > beta log n)");
+    case Reassignment::kEmptySupernode:
+      return fail("reassignment left a supernode empty");
+    case Reassignment::kDone:
       break;
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      new_groups[samples[i]].push_back(members[i]);
-    }
-  }
-  const bool empty_group =
-      !shortage &&
-      std::any_of(new_groups.begin(), new_groups.end(),
-                  [](const auto& members) { return members.empty(); });
-  if (shortage || empty_group) {
-    report.success = false;
-    report.failure_reason =
-        shortage ? "too few samples for a group (|R(x)| > beta log n)"
-                 : "reassignment left a supernode empty";
-    report.min_group_size = groups_.min_group_size();
-    report.max_group_size = groups_.max_group_size();
-    return report;
   }
 
-  groups_ = GroupTable(d, std::move(new_groups));
   edges_ = groups_.overlay_edges();
   // Epoch-boundary audit (Section 5): the rebuilt groups partition the node
   // set with Theta(log n) representatives each, and the overlay edge list is

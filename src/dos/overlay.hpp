@@ -85,9 +85,6 @@ class DosOverlay {
   [[nodiscard]] std::size_t size() const { return groups_.size(); }
   [[nodiscard]] sim::Round round() const { return round_; }
 
-  /// Chooses the paper's dimension: max d with 2^d <= n / (c log2 n).
-  static int choose_dimension(std::size_t n, double group_c);
-
  private:
   struct RoundStats {
     sim::BlockedSet blocked;

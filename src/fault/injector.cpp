@@ -79,10 +79,7 @@ bool FaultInjector::reorder(sim::NodeId /*node*/, sim::Round /*round*/,
 void FaultInjector::on_step(sim::Round /*round*/) { ++clock_; }
 
 bool FaultInjector::is_crashed(sim::NodeId node, sim::Round tick) const {
-  for (const CrashEvent& event : plan_.crashes) {
-    if (event.node != node || tick < event.at) continue;
-    if (event.restart < 0 || tick < event.restart) return true;
-  }
+  if (plan_.scripted_crash(node, tick)) return true;
   if (plan_.crash_rate > 0.0) return randomly_crashed(node, tick);
   return false;
 }
@@ -95,14 +92,19 @@ bool FaultInjector::randomly_crashed(sim::NodeId node, sim::Round tick) const {
     const sim::Round window = std::max<sim::Round>(plan_.restart_after, 1);
     const sim::Round begin = tick >= window ? tick - window + 1 : 0;
     for (sim::Round s = begin; s <= tick; ++s) {
-      if (hash_uniform(crash_salt_, node, s) < plan_.crash_rate) return true;
+      if (support::hash_unit(crash_salt_, node, static_cast<std::uint64_t>(s)) <
+          plan_.crash_rate) {
+        return true;
+      }
     }
     return false;
   }
   // Crash-stop: down from the first crashing tick on, memoized per node.
   CrashScan& scan = crash_scan_[node];
   while (scan.first_crash < 0 && scan.scanned_to <= tick) {
-    if (hash_uniform(crash_salt_, node, scan.scanned_to) < plan_.crash_rate) {
+    if (support::hash_unit(crash_salt_, node,
+                           static_cast<std::uint64_t>(scan.scanned_to)) <
+        plan_.crash_rate) {
       scan.first_crash = scan.scanned_to;
     }
     ++scan.scanned_to;
@@ -112,27 +114,7 @@ bool FaultInjector::randomly_crashed(sim::NodeId node, sim::Round tick) const {
 
 bool FaultInjector::partitioned(sim::NodeId a, sim::NodeId b,
                                 sim::Round tick) const {
-  for (const PartitionEvent& event : plan_.partitions) {
-    if (tick < event.start || tick >= event.heal) continue;
-    if (side_a(a, event) != side_a(b, event)) return true;
-  }
-  return false;
-}
-
-bool FaultInjector::side_a(sim::NodeId node,
-                           const PartitionEvent& event) const {
-  if (event.id_below != sim::kNoNode) return node < event.id_below;
-  return hash_uniform(partition_salt_ ^ event.salt, node, 0) < 0.5;
-}
-
-double FaultInjector::hash_uniform(std::uint64_t salt, sim::NodeId node,
-                                   sim::Round tick) const {
-  std::uint64_t state = salt ^ (node * 0x9E3779B97F4A7C15ULL) ^
-                        (static_cast<std::uint64_t>(tick) *
-                         0xD1B54A32D192ED03ULL);
-  const std::uint64_t bits = support::splitmix64(state);
-  // 53 high-quality bits into [0, 1), same mapping as Rng::uniform.
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  return plan_.partitioned(a, b, tick, partition_salt_);
 }
 
 }  // namespace reconfnet::fault

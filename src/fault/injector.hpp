@@ -62,10 +62,6 @@ class FaultInjector final : public sim::DeliveryHook {
   [[nodiscard]] bool partitioned(sim::NodeId a, sim::NodeId b,
                                  sim::Round tick) const;
 
-  /// Which side of `event`'s cut `node` falls on.
-  [[nodiscard]] bool side_a(sim::NodeId node,
-                            const PartitionEvent& event) const;
-
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const Counters& counters() const { return counters_; }
   /// The injector's clock: number of Bus::step boundaries observed so far.
@@ -86,9 +82,6 @@ class FaultInjector final : public sim::DeliveryHook {
     sim::Round first_crash = -1;
   };
 
-  /// Pure hash draw in [0, 1) for (salt, node, tick) triples.
-  [[nodiscard]] double hash_uniform(std::uint64_t salt, sim::NodeId node,
-                                    sim::Round tick) const;
   /// Random crash schedule: true iff the pure per-tick draws put `node` in a
   /// crashed window covering `tick`.
   [[nodiscard]] bool randomly_crashed(sim::NodeId node, sim::Round tick) const;

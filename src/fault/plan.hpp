@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "support/rng.hpp"
 
 namespace reconfnet::fault {
 
@@ -40,6 +41,13 @@ struct PartitionEvent {
   sim::Round heal = 0;
   sim::NodeId id_below = sim::kNoNode;  ///< kNoNode = salted hash split
   std::uint64_t salt = 0;
+
+  /// Which side of the cut `node` falls on. A hash split draws from
+  /// `split_salt` ^ salt; each caller passes its own split salt.
+  [[nodiscard]] bool side_a(sim::NodeId node, std::uint64_t split_salt) const {
+    if (id_below != sim::kNoNode) return node < id_below;
+    return support::hash_unit(split_salt ^ salt, node, 0) < 0.5;
+  }
 };
 
 /// One scripted crash: `node` is down from clock `at` (inclusive) until
@@ -51,6 +59,11 @@ struct CrashEvent {
   sim::NodeId node = sim::kNoNode;
   sim::Round at = 0;
   sim::Round restart = -1;
+
+  /// True iff this event holds node `id` down at clock `tick`.
+  [[nodiscard]] bool covers(sim::NodeId id, sim::Round tick) const {
+    return id == node && tick >= at && (restart < 0 || tick < restart);
+  }
 };
 
 /// Composable description of the injected faults. All probabilities are per
@@ -83,6 +96,36 @@ struct FaultPlan {
 
   [[nodiscard]] bool has_crashes() const {
     return crash_rate > 0.0 || !crashes.empty();
+  }
+
+  /// True iff a scripted crash holds `node` down at clock `tick`.
+  [[nodiscard]] bool scripted_crash(sim::NodeId node, sim::Round tick) const {
+    for (const CrashEvent& event : crashes) {
+      if (event.covers(node, tick)) return true;
+    }
+    return false;
+  }
+
+  /// True iff a scripted crash-stop has taken `node` down for good by `tick`.
+  [[nodiscard]] bool crash_stopped(sim::NodeId node, sim::Round tick) const {
+    for (const CrashEvent& event : crashes) {
+      if (event.restart < 0 && event.covers(node, tick)) return true;
+    }
+    return false;
+  }
+
+  /// True iff an active partition puts `a` and `b` on opposite sides at
+  /// clock `tick`; `split_salt` keys the hash-split sides.
+  [[nodiscard]] bool partitioned(sim::NodeId a, sim::NodeId b,
+                                 sim::Round tick,
+                                 std::uint64_t split_salt) const {
+    for (const PartitionEvent& event : partitions) {
+      if (tick < event.start || tick >= event.heal) continue;
+      if (event.side_a(a, split_salt) != event.side_a(b, split_salt)) {
+        return true;
+      }
+    }
+    return false;
   }
 
   [[nodiscard]] bool enabled() const {

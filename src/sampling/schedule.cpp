@@ -82,4 +82,13 @@ Schedule hypercube_schedule(const SizeEstimate& est, int dimension,
                est.log_n_estimate());
 }
 
+Schedule group_schedule(const SizeEstimate& est, int dimension,
+                        std::size_t max_group, SamplingConfig config) {
+  const double needed_c = static_cast<double>(max_group + 1) /
+                          static_cast<double>(est.log_n_estimate());
+  config.c = std::max(config.c, needed_c);
+  config.beta = std::min(config.beta, config.c);
+  return hypercube_schedule(est, dimension, config);
+}
+
 }  // namespace reconfnet::sampling

@@ -72,6 +72,14 @@ Schedule hgraph_schedule(const SizeEstimate& est, int degree,
 Schedule hypercube_schedule(const SizeEstimate& est, int dimension,
                             const SamplingConfig& config);
 
+/// Schedule for the group-level epoch of Section 5 on a d-dimensional
+/// hypercube of supernodes. Its final phase sends the i-th member of R(x) to
+/// the i-th sample of x, so every supernode needs more samples than the
+/// largest group has members: c is raised to (max_group + 1) / log n where
+/// that exceeds the configured c, and beta is clamped to beta <= c.
+Schedule group_schedule(const SizeEstimate& est, int dimension,
+                        std::size_t max_group, SamplingConfig config);
+
 /// ceil(log2 x) for x >= 1.
 int ceil_log2(std::size_t x);
 

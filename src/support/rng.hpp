@@ -17,6 +17,16 @@ namespace reconfnet::support {
 /// twice for distinct inputs.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// Pure draw in [0, 1) keyed by (salt, a, b): one splitmix64 step over the
+/// mixed key, its 53 high bits mapped like Rng::uniform. Fault schedules use
+/// it so that every query is independent of query order and of any stream.
+inline double hash_unit(std::uint64_t salt, std::uint64_t a,
+                        std::uint64_t b) noexcept {
+  std::uint64_t state =
+      salt ^ (a * 0x9E3779B97F4A7C15ULL) ^ (b * 0xD1B54A32D192ED03ULL);
+  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256++ generator. Small, fast, and of far higher quality than
 /// std::minstd_rand; state is seeded via SplitMix64 so that any 64-bit seed
 /// yields a well-mixed initial state.

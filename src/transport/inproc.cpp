@@ -63,12 +63,7 @@ InprocDeployment::Report InprocDeployment::run() {
     dead.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<sim::NodeId>(i);
-      for (const fault::CrashEvent& event : config_.plan.crashes) {
-        if (event.node == id && event.restart < 0 && round >= event.at) {
-          dead.push_back(id);
-          break;
-        }
-      }
+      if (config_.plan.crash_stopped(id, round)) dead.push_back(id);
     }
     bool all_live_done = true;
     for (std::size_t i = 0; i < n; ++i) {
@@ -95,16 +90,10 @@ InprocDeployment::Report InprocDeployment::run() {
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<sim::NodeId>(i);
-    if (hub_.mangler().is_crashed(id, report.rounds)) {
-      bool forever = false;
-      for (const fault::CrashEvent& event : config_.plan.crashes) {
-        if (event.node == id && event.restart < 0) forever = true;
-      }
-      if (forever) {
-        ++report.crashed_forever;
-        continue;
-      }
+    if (config_.plan.crash_stopped(static_cast<sim::NodeId>(i),
+                                   report.rounds)) {
+      ++report.crashed_forever;
+      continue;
     }
     if (protocols_[i]->finished()) ++report.finished;
   }

@@ -26,7 +26,7 @@ bool PacketMangler::drop(sim::NodeId from, sim::NodeId to, sim::Round round,
     const std::uint64_t key =
         (from << 1) ^ (to * 0x9E3779B97F4A7C15ULL) ^
         (static_cast<std::uint64_t>(round) << 32) ^ attempt;
-    if (hash_uniform(salt_ ^ 0x105Eull, key, attempt) < plan_.loss) {
+    if (support::hash_unit(salt_ ^ 0x105Eull, key, attempt) < plan_.loss) {
       ++counters_.lost;
       return true;
     }
@@ -35,38 +35,16 @@ bool PacketMangler::drop(sim::NodeId from, sim::NodeId to, sim::Round round,
 }
 
 bool PacketMangler::is_crashed(sim::NodeId node, sim::Round tick) const {
-  for (const fault::CrashEvent& event : plan_.crashes) {
-    if (event.node != node || tick < event.at) continue;
-    if (event.restart < 0 || tick < event.restart) return true;
-  }
-  return false;
+  return plan_.scripted_crash(node, tick);
 }
 
 bool PacketMangler::partitioned(sim::NodeId a, sim::NodeId b,
                                 sim::Round tick) const {
-  for (const fault::PartitionEvent& event : plan_.partitions) {
-    if (tick < event.start || tick >= event.heal) continue;
-    if (side_a(a, event) != side_a(b, event)) return true;
-  }
-  return false;
-}
-
-bool PacketMangler::side_a(sim::NodeId node,
-                           const fault::PartitionEvent& event) const {
   // Deployments use id-threshold cuts so the side assignment is identical
   // across processes and across transports; salted-hash cuts fall back to
   // the deployment salt (which differs from the injector's rng-derived salt,
   // so cross-transport comparisons should prefer id_below).
-  if (event.id_below != sim::kNoNode) return node < event.id_below;
-  return hash_uniform(salt_ ^ event.salt, node, 0) < 0.5;
-}
-
-double PacketMangler::hash_uniform(std::uint64_t salt, std::uint64_t a,
-                                   std::uint64_t b) const {
-  std::uint64_t state = salt ^ (a * 0x9E3779B97F4A7C15ULL) ^
-                        (b * 0xD1B54A32D192ED03ULL);
-  const std::uint64_t bits = support::splitmix64(state);
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  return plan_.partitioned(a, b, tick, salt_);
 }
 
 }  // namespace reconfnet::transport

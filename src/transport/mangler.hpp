@@ -6,8 +6,8 @@
 // decision is a pure splitmix64 hash of (salt, endpoints, round, try) — no
 // stream state — so all N processes agree on the schedule without
 // coordination, and the in-process run of the same plan (via FaultInjector,
-// whose scripted crash/partition queries are equally pure) sees the same
-// crash and partition windows round for round.
+// which evaluates the same FaultPlan crash/partition predicates) sees the
+// same crash and partition windows round for round.
 //
 // Scope: scripted crashes, partitions, and i.i.d. loss. The stateful fault
 // families (burst channels, delay queues, inbox reordering) stay
@@ -56,11 +56,6 @@ class PacketMangler {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  [[nodiscard]] bool side_a(sim::NodeId node,
-                            const fault::PartitionEvent& event) const;
-  [[nodiscard]] double hash_uniform(std::uint64_t salt, std::uint64_t a,
-                                    std::uint64_t b) const;
-
   fault::FaultPlan plan_;
   std::uint64_t salt_;
   Counters counters_;

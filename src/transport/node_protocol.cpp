@@ -35,18 +35,11 @@ void NodeProtocol::begin_attempt(sim::Round start_round) {
   supernode_ = table_.supernode_of(self_);
   ++metrics_.attempts;
 
-  // Schedule derivation, identical to dos::run_node_level_epoch.
-  const std::size_t n = table_.size();
   const int d = table_.dimension();
-  const auto estimate = sampling::SizeEstimate::from_true_size(
-      n, config_.size_estimate_slack);
-  auto sampling_config = config_.sampling;
-  const double needed_c =
-      static_cast<double>(table_.max_group_size() + 1) /
-      static_cast<double>(estimate.log_n_estimate());
-  sampling_config.c = std::max(sampling_config.c, needed_c);
-  sampling_config.beta = std::min(sampling_config.beta, sampling_config.c);
-  schedule_ = sampling::hypercube_schedule(estimate, d, sampling_config);
+  schedule_ = sampling::group_schedule(
+      sampling::SizeEstimate::from_true_size(table_.size(),
+                                             config_.size_estimate_slack),
+      d, table_.max_group_size(), config_.sampling);
   primitive_rounds_ = 2 * schedule_.iterations + 1;
   epoch_rounds_ = 2 * primitive_rounds_ + d + 6;
 

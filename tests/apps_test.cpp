@@ -9,6 +9,7 @@
 #include "apps/dht/kary_overlay.hpp"
 #include "apps/dht/robust_store.hpp"
 #include "apps/pubsub/pubsub.hpp"
+#include "fault/injector.hpp"
 #include "graph/connectivity.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -122,9 +123,9 @@ KaryGroupedOverlay::Config kary_config(std::size_t n, int k,
 
 TEST(KaryGroupedOverlay, ChoosesDimensionLikeThePaper) {
   // k^d <= n / (c log2 n): n = 1024, k = 4 -> budget 102.4 -> d = 3.
-  EXPECT_EQ(KaryGroupedOverlay::choose_dimension(1024, 4, 1.0), 3);
-  EXPECT_EQ(KaryGroupedOverlay::choose_dimension(1024, 2, 1.0), 6);
-  EXPECT_GE(KaryGroupedOverlay::choose_dimension(64, 8, 1.0), 1);
+  EXPECT_EQ(dos::choose_dimension(1024, 4, 1.0), 3);
+  EXPECT_EQ(dos::choose_dimension(1024, 2, 1.0), 6);
+  EXPECT_GE(dos::choose_dimension(64, 8, 1.0), 1);
 }
 
 TEST(KaryGroupedOverlay, RejectsNonPowerOfTwoArity) {
@@ -134,12 +135,12 @@ TEST(KaryGroupedOverlay, RejectsNonPowerOfTwoArity) {
 
 TEST(KaryGroupedOverlay, StartsConnectedWithBalancedGroups) {
   KaryGroupedOverlay overlay(kary_config(1024, 4, 2));
-  EXPECT_TRUE(graph::is_connected(overlay.all_nodes(),
+  EXPECT_TRUE(graph::is_connected(overlay.groups().all_nodes(),
                                   overlay.overlay_edges()));
-  EXPECT_GE(overlay.min_group_size(), 1u);
+  EXPECT_GE(overlay.groups().min_group_size(), 1u);
   std::size_t total = 0;
   for (std::uint64_t x = 0; x < overlay.cube().size(); ++x) {
-    total += overlay.group(x).size();
+    total += overlay.groups().group(x).size();
   }
   EXPECT_EQ(total, 1024u);
 }
@@ -147,15 +148,15 @@ TEST(KaryGroupedOverlay, StartsConnectedWithBalancedGroups) {
 TEST(KaryGroupedOverlay, QuietEpochReorganizes) {
   KaryGroupedOverlay overlay(kary_config(512, 4, 3));
   std::unordered_map<sim::NodeId, std::uint64_t> before;
-  for (sim::NodeId node : overlay.all_nodes()) {
-    before[node] = overlay.supernode_of(node);
+  for (sim::NodeId node : overlay.groups().all_nodes()) {
+    before[node] = overlay.groups().supernode_of(node);
   }
   const auto report = overlay.run_epoch({});
   EXPECT_TRUE(report.success) << report.failure_reason;
   EXPECT_TRUE(report.reorganized);
   std::size_t moved = 0;
   for (const auto& [node, x] : before) {
-    if (overlay.supernode_of(node) != x) ++moved;
+    if (overlay.groups().supernode_of(node) != x) ++moved;
   }
   EXPECT_GT(moved, 256u);
 }
@@ -174,6 +175,28 @@ TEST(KaryGroupedOverlay, SurvivesLateIsolationAttack) {
     const auto report = overlay.run_epoch(attack);
     EXPECT_TRUE(report.success) << report.failure_reason;
     EXPECT_EQ(report.disconnected_rounds, 0u);
+  }
+}
+
+TEST(KaryGroupedOverlay, EpochUnderTotalLossFailsAndKeepsGroups) {
+  KaryGroupedOverlay overlay(kary_config(256, 4, 48));
+  // d * log2(k) >= 3 binary dimensions take two sampler iterations, so the
+  // legs lost in the first one leave the second one dry.
+  ASSERT_GE(overlay.groups().dimension(), 3);
+  std::unordered_map<sim::NodeId, std::uint64_t> before;
+  for (sim::NodeId node : overlay.groups().all_nodes()) {
+    before[node] = overlay.groups().supernode_of(node);
+  }
+  fault::FaultInjector injector(fault::FaultPlan{}.with_loss(1.0),
+                                support::Rng(49));
+  overlay.set_fault_hook(&injector);
+  const auto report = overlay.run_epoch({});
+  EXPECT_FALSE(report.success);
+  EXPECT_FALSE(report.reorganized);
+  EXPECT_EQ(report.failure_reason, "supernode sampling ran dry");
+  EXPECT_GT(report.fault_dropped_messages, 0u);
+  for (const auto& [node, x] : before) {
+    EXPECT_EQ(overlay.groups().supernode_of(node), x);
   }
 }
 

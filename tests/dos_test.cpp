@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "adversary/dos.hpp"
+#include "dos/group_epoch.hpp"
 #include "dos/group_table.hpp"
 #include "dos/overlay.hpp"
 #include "graph/connectivity.hpp"
@@ -17,10 +18,10 @@ namespace {
 
 TEST(ChooseDimension, MatchesPaperFormula) {
   // d is the largest integer with 2^d <= n / (c log2 n).
-  EXPECT_EQ(DosOverlay::choose_dimension(1024, 1.0), 6);   // 1024/10.0 = 102.4
-  EXPECT_EQ(DosOverlay::choose_dimension(1024, 2.0), 5);   // 51.2
-  EXPECT_EQ(DosOverlay::choose_dimension(65536, 1.0), 12); // 4096
-  EXPECT_GE(DosOverlay::choose_dimension(64, 4.0), 1);
+  EXPECT_EQ(choose_dimension(1024, 2, 1.0), 6);   // 1024/10.0 = 102.4
+  EXPECT_EQ(choose_dimension(1024, 2, 2.0), 5);   // 51.2
+  EXPECT_EQ(choose_dimension(65536, 2, 1.0), 12); // 4096
+  EXPECT_GE(choose_dimension(64, 2, 4.0), 1);
 }
 
 TEST(GroupTable, RandomAssignsEveryNodeOnce) {
@@ -257,6 +258,82 @@ TEST(DosOverlay, StaticRunKeepsGroupsFixed) {
   for (const auto& [node, x] : before) {
     EXPECT_EQ(overlay.groups().supernode_of(node), x);
   }
+}
+
+// --- shared group-level epoch (dos/group_epoch.hpp) -------------------------
+
+using Core = sampling::HypercubeSamplerCore;
+
+sampling::Schedule exchange_schedule() {
+  // A 4-dimensional cube takes two sampler iterations, so legs lost in the
+  // first one leave the second one nothing to extract.
+  return sampling::group_schedule(sampling::SizeEstimate::from_true_size(256),
+                                  4, 16, {});
+}
+
+TEST(GroupEpoch, LosslessExchangeFillsEverySampler) {
+  const auto schedule = exchange_schedule();
+  ASSERT_EQ(schedule.iterations, 2);
+  support::Rng rng(3);
+  int rounds = 0;
+  const auto sampled = sample_supernodes(
+      4, 16, schedule, rng,
+      [&](int /*iteration*/, bool /*synchronization*/,
+          const auto& /*cores*/) { ++rounds; },
+      kNoLoss);
+  EXPECT_EQ(rounds, 4 * schedule.iterations);
+  EXPECT_EQ(sampled.lost_messages, 0u);
+  EXPECT_EQ(sampled.dry_events, 0u);
+  for (const Core& core : sampled.cores) {
+    EXPECT_GE(core.samples().size(), schedule.samples_out());
+  }
+}
+
+TEST(GroupEpoch, ExchangeRunsDryWhenEveryLegIsLost) {
+  support::Rng rng(3);
+  const auto sampled = sample_supernodes(
+      4, 16, exchange_schedule(), rng,
+      [](int /*iteration*/, bool /*synchronization*/,
+         const auto& /*cores*/) {},
+      [](std::uint64_t /*from*/, std::uint64_t /*to*/) { return true; });
+  EXPECT_GT(sampled.lost_messages, 0u);
+  EXPECT_GT(sampled.dry_events, 0u);
+  for (const Core& core : sampled.cores) EXPECT_TRUE(core.samples().empty());
+}
+
+/// A one-dimensional sampler core of supernode x whose output is `samples`.
+Core core_with_samples(std::uint64_t x, std::vector<std::uint64_t> samples) {
+  Core core(1, x,
+            sampling::hypercube_schedule(sampling::SizeEstimate(1), 1, {}));
+  core.restore_blocks({std::move(samples)});
+  return core;
+}
+
+TEST(GroupEpoch, ReassignMovesIthMemberToIthSample) {
+  GroupTable groups(1, {{1, 2, 3}, {4, 5}});
+  const std::vector<Core> cores{core_with_samples(0, {1, 0, 1, 0}),
+                                core_with_samples(1, {0, 1})};
+  EXPECT_EQ(reassign_to_samples(groups, cores), Reassignment::kDone);
+  EXPECT_EQ(groups.group(0), (std::vector<sim::NodeId>{2, 4}));
+  EXPECT_EQ(groups.group(1), (std::vector<sim::NodeId>{1, 3, 5}));
+}
+
+TEST(GroupEpoch, ReassignReportsSampleShortage) {
+  GroupTable groups(1, {{1, 2, 3}, {4}});
+  const std::vector<Core> cores{core_with_samples(0, {0, 1}),
+                                core_with_samples(1, {1})};
+  EXPECT_EQ(reassign_to_samples(groups, cores), Reassignment::kSampleShortage);
+  EXPECT_EQ(groups.group(0), (std::vector<sim::NodeId>{1, 2, 3}));
+  EXPECT_EQ(groups.group(1), (std::vector<sim::NodeId>{4}));
+}
+
+TEST(GroupEpoch, ReassignReportsEmptySupernode) {
+  GroupTable groups(1, {{1, 2, 3}, {4, 5}});
+  const std::vector<Core> cores{core_with_samples(0, {0, 0, 0}),
+                                core_with_samples(1, {0, 0})};
+  EXPECT_EQ(reassign_to_samples(groups, cores), Reassignment::kEmptySupernode);
+  EXPECT_EQ(groups.group(0), (std::vector<sim::NodeId>{1, 2, 3}));
+  EXPECT_EQ(groups.group(1), (std::vector<sim::NodeId>{4, 5}));
 }
 
 }  // namespace
