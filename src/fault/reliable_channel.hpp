@@ -1,9 +1,8 @@
-// Reliable delivery on top of the lossy bus (DESIGN.md §10): an ack/timeout/
-// retry wrapper with capped binary exponential backoff (in rounds) and
-// receiver-side deduplication by sequence number. The paper's model never
-// loses messages, so the bare protocols have no retransmission story; the
-// overlays opt into this wrapper at their Bus edges when running under a
-// FaultPlan.
+// Reliable delivery on top of the lossy bus (DESIGN.md §10): the ack/retry
+// core of fault/retry.hpp wrapped around one Bus, with ticks counted in bus
+// rounds. The paper's model never loses messages, so the bare protocols have
+// no retransmission story; the overlays opt into this wrapper at their Bus
+// edges when running under a FaultPlan.
 //
 // Wire format (accounted against both endpoints' communication work):
 //   data: 1 kind bit + kReliableSeqBits sequence number + the payload bits
@@ -11,18 +10,19 @@
 // Sequence numbers are unique per channel instance, so dedup needs no
 // per-sender state. Every data receipt is (re-)acked — the previous ack may
 // itself have been lost — and duplicates are suppressed before the caller
-// sees them (at-most-once; audited by audit::check_at_most_once).
+// sees them (at-most-once; audited by audit::check_at_most_once). A send is
+// retried until acked: a channel serves one phase, and the caller's settle
+// budget bounds how long it runs.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
 #include "fault/plan.hpp"
+#include "fault/retry.hpp"
 #include "sim/bus.hpp"
 #include "sim/types.hpp"
 
@@ -44,18 +44,8 @@ class ReliableChannel {
   /// On-the-wire message: a data copy or an ack for one sequence number.
   struct ReliableMsg {
     bool is_ack = false;
-    std::uint64_t seq = 0;
+    std::uint32_t seq = 0;
     Payload payload{};
-  };
-
-  struct Config {
-    sim::Round initial_timeout = kReliableInitialTimeoutRounds;
-    sim::Round backoff_cap = kReliableBackoffCapRounds;
-    int max_retries = 0;  ///< 0 = retry until acked
-    /// Wire width of the sequence number; sequence numbers wrap at 2^bits.
-    /// The default matches the pinned wire format; tests shrink it to force
-    /// the wraparound path without 2^32 sends.
-    std::uint64_t seq_bits = kReliableSeqBits;
   };
 
   struct Counters {
@@ -64,27 +54,6 @@ class ReliableChannel {
     std::uint64_t acks_sent = 0;
     std::uint64_t delivered = 0;
     std::uint64_t duplicates_suppressed = 0;
-    std::uint64_t abandoned = 0;   ///< pendings dropped before an ack came
-    std::uint64_t resets = 0;      ///< explicit reset() calls
-    std::uint64_t seq_wraps = 0;   ///< sequence space exhaustions survived
-  };
-
-  /// Why a queued send was given up on. Every abandonment is surfaced as a
-  /// typed record (take_abandoned()), never just a counter bump.
-  enum class AbandonReason {
-    kRetryBudget,  ///< max_retries spent without an ack
-    kReset,        ///< caller reset the channel with sends in flight
-    kSeqWrap,      ///< sequence space wrapped; a stale era cannot be acked
-  };
-
-  /// One send the channel stopped retrying, with enough context for the
-  /// caller to re-issue or escalate.
-  struct AbandonedSend {
-    sim::NodeId from = sim::kNoNode;
-    sim::NodeId to = sim::kNoNode;
-    std::uint64_t seq = 0;
-    int retries = 0;
-    AbandonReason reason = AbandonReason::kRetryBudget;
   };
 
  private:
@@ -92,79 +61,36 @@ class ReliableChannel {
   struct Pending {
     sim::NodeId from = sim::kNoNode;
     sim::NodeId to = sim::kNoNode;
-    ReliableMsg wire{};
-    std::uint64_t bits = 0;      ///< full wire size, header included
-    sim::Round next_retry = 0;   ///< bus round at which to retransmit
-    sim::Round timeout = 0;      ///< current backoff interval
-    int retries = 0;
+    Payload payload{};
+    std::uint64_t bits = 0;  ///< full wire size, header included
   };
 
   // State precedes the methods: the protocol-conformance checker
   // (tools/protocheck) attributes send/inbox/step sites to the nearest
   // preceding Bus binding.
   sim::Bus<ReliableMsg> bus_;
-  Config config_;
-  /// seq -> in-flight send; ordered so the retransmit scan is deterministic.
-  std::map<std::uint64_t, Pending> pending_;
-  /// Sequence numbers accepted so far (lookup only, never iterated).
-  std::unordered_set<std::uint64_t> accepted_;
+  RetrySender<Pending> sender_{kReliableInitialTimeoutRounds,
+                               kReliableBackoffCapRounds};
+  DedupWindow dedup_;
   std::vector<audit::DeliveryRecord> delivery_log_;
-  std::uint64_t next_seq_ = 0;
   Counters counters_;
-  std::vector<AbandonedSend> abandoned_log_;
-
-  [[nodiscard]] std::uint64_t seq_mask() const {
-    return config_.seq_bits >= 64 ? ~0ull : (1ull << config_.seq_bits) - 1;
-  }
-
-  /// Drops one in-flight send, recording the typed reason.
-  void abandon(const Pending& entry, AbandonReason reason) {
-    abandoned_log_.push_back(
-        {entry.from, entry.to, entry.wire.seq, entry.retries, reason});
-    ++counters_.abandoned;
-  }
 
  public:
   explicit ReliableChannel(sim::WorkMeter* meter = nullptr,
-                           sim::DeliveryHook* fault_hook = nullptr,
-                           Config config = {})
-      : bus_(meter), config_(config) {
+                           sim::DeliveryHook* fault_hook = nullptr)
+      : bus_(meter) {
     bus_.set_fault_hook(fault_hook);
   }
 
-  /// Queues one payload for reliable delivery. `payload_bits` is the bare
-  /// payload's wire size; the channel adds its header on top.
+  /// Queues one payload for reliable delivery; its first transmission goes
+  /// out at the next step(), in the current bus round. `payload_bits` is the
+  /// bare payload's wire size; the channel adds its header on top.
   void send(sim::NodeId from, sim::NodeId to, Payload payload,
             std::uint64_t payload_bits) {
-    const std::uint64_t data_bits = payload_bits + kReliableHeaderBits;
-    if (next_seq_ > seq_mask()) {
-      // Sequence space exhausted: start a fresh dedup era. Anything still
-      // unacked is from 2^seq_bits sends ago — surface it as a typed
-      // abandonment rather than risk its stale ack cancelling a reused
-      // sequence number, and clear the dedup state so reused numbers are
-      // not misread as duplicates.
-      ++counters_.seq_wraps;
-      for (auto& [seq, entry] : pending_) {
-        abandon(entry, AbandonReason::kSeqWrap);
-      }
-      pending_.clear();
-      accepted_.clear();
-      delivery_log_.clear();
-      next_seq_ = 0;
-    }
-    ReliableMsg wire;
-    wire.seq = next_seq_++;
-    wire.payload = std::move(payload);
-    Pending entry;
-    entry.from = from;
-    entry.to = to;
-    entry.wire = wire;
-    entry.bits = data_bits;
-    entry.next_retry = bus_.round() + config_.initial_timeout;
-    entry.timeout = config_.initial_timeout;
-    bus_.send(from, to, wire, data_bits);
+    sender_.add({from, to, std::move(payload),
+                 payload_bits + kReliableHeaderBits},
+                bus_.round());
     ++counters_.data_sent;
-    pending_.emplace(entry.wire.seq, std::move(entry));
   }
 
   /// Drains `node`'s inbox: consumes acks, acks every data receipt, dedups,
@@ -174,7 +100,7 @@ class ReliableChannel {
     for (const auto& envelope : bus_.inbox(node)) {
       const ReliableMsg& wire = envelope.payload;
       if (wire.is_ack) {
-        pending_.erase(wire.seq);
+        sender_.ack(wire.seq);
         continue;
       }
       // Always ack, even duplicates: the previous ack may have been lost.
@@ -183,7 +109,7 @@ class ReliableChannel {
       ack.seq = wire.seq;
       bus_.send(node, envelope.from, ack, kReliableAckBits);
       ++counters_.acks_sent;
-      if (!accepted_.insert(wire.seq).second) {
+      if (!dedup_.accept(wire.seq)) {
         ++counters_.duplicates_suppressed;
         continue;
       }
@@ -194,29 +120,18 @@ class ReliableChannel {
     return fresh;
   }
 
-  /// Advances the round boundary: retransmits every in-flight message whose
-  /// timeout expired (doubling it, capped at backoff_cap), drops the ones
-  /// out of retries, then steps the underlying bus.
+  /// Advances the round boundary: (re)transmits every send whose timer
+  /// expired, in sequence order, then steps the underlying bus.
   void step(const sim::BlockedSet& blocked_sending,
             const sim::BlockedSet& blocked_delivery) {
-    std::vector<std::uint64_t> expired;
-    for (auto& [seq, entry] : pending_) {
-      if (entry.next_retry > bus_.round()) continue;
-      if (config_.max_retries > 0 && entry.retries >= config_.max_retries) {
-        expired.push_back(seq);
-        continue;
-      }
-      ++entry.retries;
-      ++counters_.retransmissions;
-      entry.timeout = std::min(entry.timeout * 2, config_.backoff_cap);
-      entry.next_retry = bus_.round() + entry.timeout;
-      bus_.send(entry.from, entry.to, entry.wire, entry.bits);
-    }
-    for (const std::uint64_t seq : expired) {
-      const auto it = pending_.find(seq);
-      abandon(it->second, AbandonReason::kRetryBudget);
-      pending_.erase(it);
-    }
+    sender_.for_due(
+        bus_.round(),
+        [&](std::uint32_t seq, const Pending& entry, int sent) {
+          if (sent > 0) ++counters_.retransmissions;
+          bus_.send(entry.from, entry.to, ReliableMsg{false, seq, entry.payload},
+                    entry.bits);
+        },
+        [](std::uint32_t, const Pending&, int) {});  // no budget: never called
     if (audit::enabled()) {
       audit::enforce(audit::check_at_most_once(delivery_log_));
     }
@@ -229,28 +144,8 @@ class ReliableChannel {
     step(kNone, kNone);
   }
 
-  /// Flushes every in-flight send — each surfaced as a typed kReset
-  /// abandonment — without disturbing the sequence counter: numbering stays
-  /// monotone across the reset, so an ack still crossing the bus for a
-  /// pre-reset send can never cancel a post-reset one (stale-ack immunity;
-  /// regression-tested in tests/fault_test.cpp).
-  void reset() {
-    ++counters_.resets;
-    for (auto& [seq, entry] : pending_) {
-      abandon(entry, AbandonReason::kReset);
-    }
-    pending_.clear();
-  }
-
-  /// Typed abandonment records accumulated since the last call, oldest
-  /// first. Draining them is how callers learn WHICH sends were given up,
-  /// not just how many.
-  [[nodiscard]] std::vector<AbandonedSend> take_abandoned() {
-    return std::exchange(abandoned_log_, {});
-  }
-
   /// In-flight messages still awaiting an ack.
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_count() const { return sender_.size(); }
   /// Messages queued on the underlying bus for the current round.
   [[nodiscard]] std::size_t queued() const { return bus_.pending(); }
   [[nodiscard]] sim::Round round() const { return bus_.round(); }

@@ -65,7 +65,6 @@ LiveNodeRuntime::LiveNodeRuntime(LiveConfig config, Clock* clock)
   udp.nodes = config_.nodes;
   udp.base_port = config_.base_port;
   udp.incarnation = config_.incarnation;
-  udp.link = config_.link;
   udp.mangler = mangler_.get();
   transport_ = std::make_unique<UdpTransport>(udp);
   pacer_ = std::make_unique<RoundPacer>(config_.pacer, clock_->now_us());

@@ -42,7 +42,6 @@ struct LiveConfig {
   PacerConfig pacer{};
   std::uint16_t base_port = 47000;
   std::uint32_t incarnation = 0;
-  LinkConfig link{};
   std::string plan_spec = "none";
   std::uint64_t fault_salt = 0x7261ull;
   /// 0 = derive from epochs * max_attempts plus smoke and slack.

@@ -1,91 +1,20 @@
 #include "transport/reliable_link.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace reconfnet::transport {
-namespace {
-
-void put_u16(std::uint8_t* out, std::uint16_t value) {
-  out[0] = static_cast<std::uint8_t>(value);
-  out[1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void put_u32(std::uint8_t* out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-std::uint16_t get_u16(const std::uint8_t* in) {
-  return static_cast<std::uint16_t>(in[0] |
-                                    (static_cast<std::uint16_t>(in[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
-void encode_link_header(const LinkHeader& header, std::uint8_t* out) {
-  put_u16(out, kLinkMagic);
-  out[2] = kLinkVersion;
-  out[3] = static_cast<std::uint8_t>(header.op);
-  put_u64(out + 4, header.from);
-  put_u32(out + 12, header.incarnation);
-  put_u32(out + 16, header.seq);
-}
-
-bool decode_link_header(std::span<const std::uint8_t> bytes,
-                        LinkHeader& header) {
-  if (bytes.size() < kLinkHeaderBytes) return false;
-  if (get_u16(bytes.data()) != kLinkMagic) return false;
-  if (bytes[2] != kLinkVersion) return false;
-  if (bytes[3] > static_cast<std::uint8_t>(LinkOp::kAck)) return false;
-  header.op = static_cast<LinkOp>(bytes[3]);
-  header.from = get_u64(bytes.data() + 4);
-  header.incarnation = get_u32(bytes.data() + 12);
-  header.seq = get_u32(bytes.data() + 16);
-  return true;
-}
 
 std::uint32_t ReliableLink::stage(std::span<const std::uint8_t> payload,
                                   std::int64_t now_us, std::int64_t tag) {
-  const std::uint32_t seq = next_seq_++;
-  Pending entry;
-  entry.tag = tag;
-  entry.datagram.resize(kLinkHeaderBytes + payload.size());
-  LinkHeader header;
-  header.op = LinkOp::kReliable;
-  header.from = self_;
-  header.incarnation = incarnation_;
-  header.seq = seq;
-  encode_link_header(header, entry.datagram.data());
-  std::memcpy(entry.datagram.data() + kLinkHeaderBytes, payload.data(),
-              payload.size());
-  entry.due_us = now_us;  // first transmission at the next for_due
-  entry.timeout_us = config_.initial_timeout_us;
-  pending_.emplace(seq, std::move(entry));
+  Outgoing out;
+  out.tag = tag;
+  out.datagram.reserve(kLinkHeaderBytes + payload.size());
+  encode_link_header(
+      {LinkOp::kReliable, self_, incarnation_, sender_.next_seq()},
+      out.datagram);
+  out.datagram.insert(out.datagram.end(), payload.begin(), payload.end());
   ++counters_.staged;
-  return seq;
+  return sender_.add(std::move(out), now_us);
 }
 
 void ReliableLink::on_ack(std::uint32_t seq, std::uint32_t incarnation) {
@@ -95,19 +24,12 @@ void ReliableLink::on_ack(std::uint32_t seq, std::uint32_t incarnation) {
     ++counters_.stale_incarnation;
     return;
   }
-  if (pending_.erase(seq) > 0) ++counters_.acked;
+  if (sender_.ack(seq)) ++counters_.acked;
 }
 
 std::size_t ReliableLink::cancel_stale(std::int64_t before_tag) {
-  std::size_t dropped = 0;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.tag < before_tag) {
-      it = pending_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
+  const std::size_t dropped = sender_.drop_if(
+      [&](const Outgoing& out) { return out.tag < before_tag; });
   counters_.canceled += dropped;
   return dropped;
 }
@@ -120,18 +42,12 @@ bool ReliableLink::on_data(std::uint32_t seq, std::uint32_t incarnation) {
   if (incarnation > peer_incarnation_) {
     // The peer restarted: new sequence space, fresh dedup state.
     peer_incarnation_ = incarnation;
-    floor_ = 0;
-    above_floor_.clear();
+    delivered_.reset();
   }
   ack_queue_.push_back(seq);
-  if (seq <= floor_ || above_floor_.count(seq) > 0) {
+  if (!delivered_.accept(seq)) {
     ++counters_.duplicates;
     return false;
-  }
-  above_floor_.insert(seq);
-  while (above_floor_.count(floor_ + 1) > 0) {
-    above_floor_.erase(floor_ + 1);
-    ++floor_;
   }
   ++counters_.delivered;
   return true;

@@ -1,34 +1,32 @@
-// Per-peer reliable datagram channel for the UDP transport (DESIGN.md §15).
+// Per-peer reliable datagram channel for the UDP transport (DESIGN.md §15):
+// the ack/retry core of fault/retry.hpp, with ticks counted in microseconds.
 //
 // UDP loses, duplicates and reorders; the protocol frames (everything except
 // heartbeats) need at-most-once delivery. Each (local node, peer) pair gets
 // one ReliableLink holding both halves:
 //
 //   * sender half: stages full datagrams under fresh sequence numbers,
-//     retransmits on a capped binary-backoff timer until acked, and — after
-//     max_retries — abandons the send *loudly* (typed counter, surfaced in
-//     the node metrics) instead of blocking the round loop,
-//   * receiver half: acks every reliable datagram and deduplicates via a
-//     delivered floor plus an above-floor set, so retransmit-after-ack-loss
-//     never delivers twice.
+//     retransmits them on the core's capped backoff until acked, and after
+//     kLinkMaxTransmissions transmissions abandons the send *loudly* (typed
+//     counter, surfaced in the node metrics) instead of blocking the round
+//     loop,
+//   * receiver half: acks every reliable datagram and deduplicates through
+//     the core's delivered floor, so retransmit-after-ack-loss never
+//     delivers twice.
 //
 // Incarnations make restarts safe: a rebooted process bumps its incarnation,
 // the receiver resets its dedup state on the first higher-incarnation
-// datagram, and stale acks or data from the previous life are ignored — the
-// live analog of fault::ReliableChannel's reset quarantine.
+// datagram, and stale acks or data from the previous life are ignored.
 //
 // The class is socket-free and clock-free (timestamps are passed in), so
 // tests drive it directly; the UDP transport owns the sockets.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <map>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "fault/retry.hpp"
 #include "sim/types.hpp"
 
 namespace reconfnet::transport {
@@ -38,6 +36,12 @@ namespace reconfnet::transport {
 inline constexpr std::uint16_t kLinkMagic = 0x4C52;  // "RL"
 inline constexpr std::uint8_t kLinkVersion = 1;
 inline constexpr std::size_t kLinkHeaderBytes = 20;
+
+/// Retransmission schedule: the first retry 40 ms after a send, doubling to
+/// a 640 ms cap, and at most 10 transmissions before the send is abandoned.
+inline constexpr std::int64_t kLinkInitialTimeoutUs = 40'000;
+inline constexpr std::int64_t kLinkBackoffCapUs = 640'000;
+inline constexpr int kLinkMaxTransmissions = 10;
 
 enum class LinkOp : std::uint8_t {
   kUnreliable = 0,  ///< fire-and-forget payload (heartbeats)
@@ -52,17 +56,16 @@ struct LinkHeader {
   std::uint32_t seq = 0;
 };
 
-/// Writes the 20-byte header at `out` (must have room).
-void encode_link_header(const LinkHeader& header, std::uint8_t* out);
-/// Parses a header; false on short input, bad magic or version.
+// The header codec lives in wire.cpp, written with the frame codec's
+// little-endian primitives.
+
+/// Writes the 20-byte header into `out` (cleared first; capacity is
+/// recycled). The caller appends the payload.
+void encode_link_header(const LinkHeader& header,
+                        std::vector<std::uint8_t>& out);
+/// Parses a header; false on short input, bad magic, version or op.
 [[nodiscard]] bool decode_link_header(std::span<const std::uint8_t> bytes,
                                       LinkHeader& header);
-
-struct LinkConfig {
-  std::int64_t initial_timeout_us = 40'000;
-  std::int64_t backoff_cap_us = 640'000;
-  int max_retries = 10;  ///< transmissions before abandoning (>= 1)
-};
 
 class ReliableLink {
  public:
@@ -70,16 +73,15 @@ class ReliableLink {
     std::uint64_t staged = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t acked = 0;
-    std::uint64_t abandoned = 0;      ///< gave up after max_retries
+    std::uint64_t abandoned = 0;      ///< gave up after kLinkMaxTransmissions
     std::uint64_t canceled = 0;       ///< dropped by cancel_stale()
     std::uint64_t delivered = 0;      ///< fresh incoming reliable datagrams
     std::uint64_t duplicates = 0;     ///< deduplicated incoming datagrams
     std::uint64_t stale_incarnation = 0;  ///< old-life data or acks dropped
   };
 
-  ReliableLink(LinkConfig config, sim::NodeId self,
-               std::uint32_t incarnation)
-      : config_(config), self_(self), incarnation_(incarnation) {}
+  ReliableLink(sim::NodeId self, std::uint32_t incarnation)
+      : self_(self), incarnation_(incarnation) {}
 
   /// Sender half: wraps `payload` in a reliable-data header under a fresh
   /// sequence number and stages it for (re)transmission. The first
@@ -94,30 +96,18 @@ class ReliableLink {
 
   /// Sender half: invokes fn(bytes, attempt, tag) for every staged datagram
   /// due at `now_us` (attempt 0 = first transmission) and re-arms its
-  /// backoff. Datagrams exceeding max_retries are abandoned and counted
+  /// backoff. Datagrams past kLinkMaxTransmissions are abandoned and counted
   /// instead.
   template <typename Fn>
   void for_due(std::int64_t now_us, Fn&& fn) {
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      Pending& entry = it->second;
-      if (now_us < entry.due_us) {
-        ++it;
-        continue;
-      }
-      if (entry.attempts >= config_.max_retries) {
-        ++counters_.abandoned;
-        it = pending_.erase(it);
-        continue;
-      }
-      fn(std::span<const std::uint8_t>(entry.datagram),
-         static_cast<std::uint32_t>(entry.attempts), entry.tag);
-      if (entry.attempts > 0) ++counters_.retransmits;
-      ++entry.attempts;
-      entry.due_us = now_us + entry.timeout_us;
-      entry.timeout_us = std::min(entry.timeout_us * 2,
-                                  config_.backoff_cap_us);
-      ++it;
-    }
+    sender_.for_due(
+        now_us,
+        [&](std::uint32_t, const Outgoing& out, int sent) {
+          fn(std::span<const std::uint8_t>(out.datagram),
+             static_cast<std::uint32_t>(sent), out.tag);
+          if (sent > 0) ++counters_.retransmits;
+        },
+        [&](std::uint32_t, const Outgoing&, int) { ++counters_.abandoned; });
   }
 
   /// Sender half: an ack for `seq` arrived from the peer.
@@ -143,33 +133,28 @@ class ReliableLink {
     ack_queue_.clear();
   }
 
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending() const { return sender_.size(); }
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] std::uint32_t peer_incarnation() const {
     return peer_incarnation_;
   }
 
  private:
-  struct Pending {
+  struct Outgoing {
     std::vector<std::uint8_t> datagram;  ///< header + payload, ready to send
-    std::int64_t due_us = 0;
-    std::int64_t timeout_us = 0;
     std::int64_t tag = 0;  ///< caller context (the frame's protocol round)
-    int attempts = 0;
   };
 
-  LinkConfig config_;
   sim::NodeId self_;
   std::uint32_t incarnation_;
 
   // Sender half.
-  std::uint32_t next_seq_ = 1;
-  std::map<std::uint32_t, Pending> pending_;
+  fault::RetrySender<Outgoing> sender_{kLinkInitialTimeoutUs,
+                                       kLinkBackoffCapUs, kLinkMaxTransmissions};
 
   // Receiver half.
   std::uint32_t peer_incarnation_ = 0;
-  std::uint32_t floor_ = 0;  ///< every seq <= floor_ was delivered
-  std::set<std::uint32_t> above_floor_;
+  fault::DedupWindow delivered_;
   std::vector<std::uint32_t> ack_queue_;
 
   Counters counters_;

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 namespace reconfnet::transport {
@@ -29,8 +28,8 @@ UdpTransport::UdpTransport(UdpConfig config) : config_(config) {
   links_.reserve(static_cast<std::size_t>(config_.nodes));
   heard_.assign(static_cast<std::size_t>(config_.nodes), -1);
   for (int i = 0; i < config_.nodes; ++i) {
-    links_.push_back(std::make_unique<ReliableLink>(
-        config_.link, config_.self, config_.incarnation));
+    links_.push_back(
+        std::make_unique<ReliableLink>(config_.self, config_.incarnation));
   }
   recv_scratch_.resize(kMaxDatagram);
 }
@@ -79,16 +78,11 @@ void UdpTransport::send(sim::NodeId to, const Message& msg) {
   encode(msg, encode_scratch_);
   if (msg.kind == MsgKind::kHeartbeat) {
     // Fire-and-forget: one link header, no channel state.
-    dgram_scratch_.clear();
-    dgram_scratch_.resize(kLinkHeaderBytes + encode_scratch_.size());
-    LinkHeader header;
-    header.op = LinkOp::kUnreliable;
-    header.from = config_.self;
-    header.incarnation = config_.incarnation;
-    header.seq = 0;
-    encode_link_header(header, dgram_scratch_.data());
-    std::memcpy(dgram_scratch_.data() + kLinkHeaderBytes,
-                encode_scratch_.data(), encode_scratch_.size());
+    encode_link_header(
+        {LinkOp::kUnreliable, config_.self, config_.incarnation, 0},
+        dgram_scratch_);
+    dgram_scratch_.insert(dgram_scratch_.end(), encode_scratch_.begin(),
+                          encode_scratch_.end());
     transmit(to, dgram_scratch_, /*attempt=*/0, msg.round);
     return;
   }
@@ -166,13 +160,15 @@ bool UdpTransport::on_datagram(std::span<const std::uint8_t> bytes,
     links_[peer]->on_ack(header.seq, header.incarnation);
     return true;
   }
-  if (header.op == LinkOp::kReliable &&
-      !links_[peer]->on_data(header.seq, header.incarnation)) {
-    return true;  // duplicate or stale incarnation; already counted
-  }
+  // Decode before the link sees a reliable datagram: an unreadable copy
+  // must be neither acked nor marked delivered, so the sender retransmits.
   if (!decode(payload, decode_scratch_)) {
     ++counters_.decode_failures;
     return false;
+  }
+  if (header.op == LinkOp::kReliable &&
+      !links_[peer]->on_data(header.seq, header.incarnation)) {
+    return true;  // duplicate or stale incarnation; already counted
   }
   if (decode_scratch_.kind == MsgKind::kHeartbeat) {
     // A heartbeat announces the sender COMPLETED its round (all its
@@ -262,17 +258,12 @@ void UdpTransport::transmit(sim::NodeId to,
 }
 
 void UdpTransport::send_ack(sim::NodeId to, std::uint32_t seq) {
-  std::uint8_t buffer[kLinkHeaderBytes];
-  LinkHeader header;
-  header.op = LinkOp::kAck;
-  header.from = config_.self;
-  header.incarnation =
-      links_[static_cast<std::size_t>(to)]->peer_incarnation();
-  header.seq = seq;
-  encode_link_header(header, buffer);
+  encode_link_header(
+      {LinkOp::kAck, config_.self,
+       links_[static_cast<std::size_t>(to)]->peer_incarnation(), seq},
+      dgram_scratch_);
   ++counters_.acks_sent;
-  transmit(to, std::span<const std::uint8_t>(buffer, sizeof(buffer)),
-           /*attempt=*/0, round_);
+  transmit(to, dgram_scratch_, /*attempt=*/0, round_);
 }
 
 }  // namespace reconfnet::transport

@@ -38,7 +38,6 @@ struct UdpConfig {
   int nodes = 0;
   std::uint16_t base_port = 47000;
   std::uint32_t incarnation = 0;  ///< bumped by the deploy script on restart
-  LinkConfig link{};
   /// Optional sender-side fault seam; consulted per transmission attempt.
   /// Not owned; may be nullptr.
   PacketMangler* mangler = nullptr;
@@ -114,7 +113,7 @@ class UdpTransport final : public Transport {
 
   // Recycled buffers (allocation-free steady state on the datagram paths).
   std::vector<std::uint8_t> encode_scratch_;
-  std::vector<std::uint8_t> dgram_scratch_;
+  std::vector<std::uint8_t> dgram_scratch_;  ///< outgoing heartbeat or ack
   std::vector<std::uint8_t> recv_scratch_;
   Message decode_scratch_;
 };

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "transport/reliable_link.hpp"
+
 namespace reconfnet::transport {
 namespace {
 
@@ -342,6 +344,37 @@ bool decode(std::span<const std::uint8_t> bytes, Message& msg) {
       break;
   }
   return r.ok() && r.remaining() == 0;
+}
+
+// --- link header (reliable_link.hpp) -----------------------------------------
+
+void encode_link_header(const LinkHeader& header,
+                        std::vector<std::uint8_t>& out) {
+  out.clear();
+  Writer w(out);
+  w.u16(kLinkMagic);
+  w.u8(kLinkVersion);
+  w.u8(static_cast<std::uint8_t>(header.op));
+  w.u64(header.from);
+  w.u32(header.incarnation);
+  w.u32(header.seq);
+}
+
+bool decode_link_header(std::span<const std::uint8_t> bytes,
+                        LinkHeader& header) {
+  Reader r(bytes);
+  const std::uint16_t magic = r.u16();
+  const std::uint8_t version = r.u8();
+  const std::uint8_t op = r.u8();
+  header.from = r.u64();
+  header.incarnation = r.u32();
+  header.seq = r.u32();
+  if (!r.ok() || magic != kLinkMagic || version != kLinkVersion ||
+      op > static_cast<std::uint8_t>(LinkOp::kAck)) {
+    return false;
+  }
+  header.op = static_cast<LinkOp>(op);
+  return true;
 }
 
 }  // namespace reconfnet::transport

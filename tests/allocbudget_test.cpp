@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include <cstring>
-
 #include "adversary/churn.hpp"
 #include "churn/overlay.hpp"
 #include "tools/hotcheck/hotcheck.hpp"
@@ -200,13 +198,11 @@ TEST(AllocBudget, TransportHeartbeatReceivePathIsAllocationFree) {
   auto feed = [&](std::uint64_t packet) {
     msg.round = static_cast<sim::Round>(packet);
     transport::encode(msg, body);
-    datagram.resize(transport::kLinkHeaderBytes + body.size());
     transport::LinkHeader header;
     header.op = transport::LinkOp::kUnreliable;
     header.from = static_cast<sim::NodeId>(1 + packet % (nodes - 1));
-    transport::encode_link_header(header, datagram.data());
-    std::memcpy(datagram.data() + transport::kLinkHeaderBytes, body.data(),
-                body.size());
+    transport::encode_link_header(header, datagram);
+    datagram.insert(datagram.end(), body.begin(), body.end());
     EXPECT_TRUE(udp.on_datagram(datagram, static_cast<std::int64_t>(packet)));
   };
 

@@ -1,7 +1,7 @@
 // Tests for the deterministic fault-injection layer (src/fault/): the
-// FaultInjector's schedules and determinism contract, the ReliableChannel's
-// ack/retry/dedup machinery, and the graceful-degradation behavior of the
-// churn protocols under injected faults (DESIGN.md §10).
+// FaultInjector's schedules and determinism contract, the ack/retry/dedup
+// core and the ReliableChannel built on it, and the graceful-degradation
+// behavior of the churn protocols under injected faults (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/reliable_channel.hpp"
+#include "fault/retry.hpp"
 #include "graph/hgraph.hpp"
 #include "runtime/trial_runner.hpp"
 #include "sim/bus.hpp"
@@ -278,6 +279,117 @@ TEST(FaultInjector, ConservationHoldsUnderFaults) {
 }
 
 // ---------------------------------------------------------------------------
+// RetrySender / DedupWindow: the ack/retry core under both reliable wrappers
+
+/// Every transmission of a sender, as (tick, seq, earlier transmissions).
+struct Sent {
+  std::int64_t tick = 0;
+  std::uint32_t seq = 0;
+  int sent = 0;
+  bool operator==(const Sent&) const = default;
+};
+
+TEST(RetryCore, BackoffGapsDoubleUpToTheCap) {
+  RetrySender<int> sender(/*initial_gap=*/3, /*gap_cap=*/20);
+  EXPECT_EQ(sender.add(7, /*due=*/5), 1u);
+  std::vector<std::int64_t> ticks;
+  for (std::int64_t now = 0; now <= 120; ++now) {
+    sender.for_due(
+        now, [&](std::uint32_t, int item, int) {
+          EXPECT_EQ(item, 7);
+          ticks.push_back(now);
+        },
+        [](std::uint32_t, int, int) { ADD_FAILURE() << "no budget"; });
+  }
+  // Gap k after the first transmission is min(3 * 2^k, 20) ticks.
+  EXPECT_EQ(ticks, (std::vector<std::int64_t>{5, 8, 14, 26, 46, 66, 86, 106}));
+  EXPECT_EQ(sender.size(), 1u);
+}
+
+TEST(RetryCore, BudgetAbandonsInSequenceOrderWithTransmissionCounts) {
+  RetrySender<char> sender(/*initial_gap=*/1, /*gap_cap=*/4, /*budget=*/3);
+  sender.add('a', 0);
+  sender.add('b', 0);
+  sender.add('c', 2);
+  std::vector<Sent> sends;
+  std::vector<Sent> abandoned;
+  for (std::int64_t now = 0; now < 40; ++now) {
+    sender.for_due(
+        now,
+        [&](std::uint32_t seq, char, int sent) {
+          sends.push_back({now, seq, sent});
+        },
+        [&](std::uint32_t seq, char, int sent) {
+          abandoned.push_back({now, seq, sent});
+        });
+  }
+  // Transmissions at 0, 1, 3 (gaps 1, 2); abandoned when the 4th falls due.
+  EXPECT_EQ(abandoned, (std::vector<Sent>{{7, 1, 3}, {7, 2, 3}, {9, 3, 3}}));
+  EXPECT_EQ(sends.size(), 9u);
+  EXPECT_EQ(sends[0], (Sent{0, 1, 0}));
+  EXPECT_EQ(sends[1], (Sent{0, 2, 0}));  // ascending seq within one tick
+  EXPECT_EQ(sends[8], (Sent{5, 3, 2}));
+  EXPECT_EQ(sender.size(), 0u);
+}
+
+TEST(RetryCore, DropIfRemovesOnlyMatchingSends) {
+  RetrySender<int> sender(2, 8);
+  for (int item = 1; item <= 5; ++item) sender.add(item, 0);
+  EXPECT_EQ(sender.drop_if([](int item) { return item % 2 == 0; }), 2u);
+  EXPECT_EQ(sender.size(), 3u);
+  std::vector<int> items;
+  sender.for_due(0, [&](std::uint32_t, int item, int) { items.push_back(item); },
+                 [](std::uint32_t, int, int) {});
+  EXPECT_EQ(items, (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(sender.drop_if([](int) { return false; }), 0u);
+}
+
+TEST(RetryCore, AckForUnknownOrDroppedSeqLeavesLaterSendsPending) {
+  RetrySender<int> sender(2, 8);
+  const std::uint32_t first = sender.add(1, 0);
+  const std::uint32_t second = sender.add(2, 0);
+  const std::uint32_t third = sender.add(3, 0);
+  EXPECT_EQ(sender.drop_if([](int item) { return item == 1; }), 1u);
+
+  EXPECT_FALSE(sender.ack(first));  // dropped earlier
+  EXPECT_FALSE(sender.ack(0));      // never handed out
+  EXPECT_FALSE(sender.ack(third + 1));
+  EXPECT_EQ(sender.size(), 2u);
+
+  EXPECT_TRUE(sender.ack(second));
+  EXPECT_FALSE(sender.ack(second));  // already settled
+  ASSERT_EQ(sender.size(), 1u);
+  std::vector<std::uint32_t> seqs;
+  sender.for_due(0, [&](std::uint32_t seq, int, int) { seqs.push_back(seq); },
+                 [](std::uint32_t, int, int) {});
+  EXPECT_EQ(seqs, (std::vector<std::uint32_t>{third}));
+  EXPECT_EQ(sender.next_seq(), third + 1);
+}
+
+TEST(RetryCore, DedupWindowFloorUnderReorderingDuplicatesAndReset) {
+  DedupWindow window;
+  EXPECT_FALSE(window.accept(0));  // numbering starts at 1
+  EXPECT_TRUE(window.accept(1));
+  EXPECT_TRUE(window.accept(4));   // ahead of a gap: held above the floor
+  EXPECT_TRUE(window.accept(3));
+  EXPECT_EQ(window.floor(), 1u);
+  EXPECT_FALSE(window.accept(1));  // duplicate at the floor
+  EXPECT_FALSE(window.accept(4));  // duplicate above the floor
+  EXPECT_TRUE(window.accept(2));   // fills the gap: the floor absorbs 3 and 4
+  EXPECT_EQ(window.floor(), 4u);
+  EXPECT_FALSE(window.accept(3));  // duplicate below the floor
+  EXPECT_TRUE(window.accept(5));
+  EXPECT_EQ(window.floor(), 5u);
+
+  window.reset();
+  EXPECT_EQ(window.floor(), 0u);
+  EXPECT_TRUE(window.accept(2));  // a fresh sequence space reuses numbers
+  EXPECT_TRUE(window.accept(1));
+  EXPECT_FALSE(window.accept(2));
+  EXPECT_EQ(window.floor(), 2u);
+}
+
+// ---------------------------------------------------------------------------
 // ReliableChannel
 
 TEST(ReliableChannel, EventualDeliveryUnderHeavyLoss) {
@@ -348,104 +460,6 @@ TEST(ReliableChannel, BackoffDoublesAndCaps) {
   // 2, 6, 14, 30 and 46.
   EXPECT_EQ(channel.counters().retransmissions, 5u);
   EXPECT_EQ(channel.pending_count(), 1u);
-}
-
-TEST(ReliableChannel, AbandonsAfterMaxRetries) {
-  FaultPlan plan;
-  plan.with_loss(1.0);
-  FaultInjector injector(plan, support::Rng(61));
-  ReliableChannel<Probe>::Config config;
-  config.max_retries = 3;
-  ReliableChannel<Probe> channel(nullptr, &injector, config);
-  channel.send(0, 1, Probe{1}, 8);
-  for (int i = 0; i < 40; ++i) channel.step();
-  EXPECT_EQ(channel.counters().retransmissions, 3u);
-  EXPECT_EQ(channel.counters().abandoned, 1u);
-  EXPECT_EQ(channel.pending_count(), 0u);
-}
-
-TEST(ReliableChannel, SeqWraparoundStartsAFreshDedupEra) {
-  FaultPlan plan;  // lossless: every send is delivered and acked promptly
-  FaultInjector injector(plan, support::Rng(81));
-  ReliableChannel<Probe>::Config config;
-  config.seq_bits = 3;  // wrap after 8 sends instead of 2^32
-  ReliableChannel<Probe> channel(nullptr, &injector, config);
-
-  // Two full eras plus one: every message must be delivered exactly once —
-  // reused sequence numbers from a previous era must not be suppressed as
-  // duplicates.
-  const int count = 17;
-  std::size_t delivered = 0;
-  for (int i = 0; i < count; ++i) {
-    channel.send(0, 1, Probe{i}, 8);
-    for (int r = 0; r < 4; ++r) {
-      channel.step();
-      delivered += channel.receive(1).size();
-      channel.receive(0);  // consume acks
-    }
-  }
-  EXPECT_EQ(delivered, static_cast<std::size_t>(count));
-  EXPECT_EQ(channel.counters().seq_wraps, 2u);
-  EXPECT_EQ(channel.counters().duplicates_suppressed, 0u);
-  EXPECT_EQ(channel.pending_count(), 0u);
-  EXPECT_TRUE(channel.take_abandoned().empty());  // all were acked in time
-}
-
-TEST(ReliableChannel, StaleAckAfterResetCannotCancelFreshSend) {
-  FaultPlan plan;
-  FaultInjector injector(plan, support::Rng(91));
-  ReliableChannel<Probe> channel(nullptr, &injector);
-
-  // Send A; let the receiver ack it, but reset the channel BEFORE the
-  // sender consumes that ack. The ack (for seq 0) is now stale in flight.
-  channel.send(0, 1, Probe{1}, 8);
-  channel.step();
-  ASSERT_EQ(channel.receive(1).size(), 1u);  // receiver acks seq 0
-  channel.reset();
-  ASSERT_EQ(channel.pending_count(), 0u);
-
-  // Send B. Sequence numbering stayed monotone across the reset, so B got
-  // seq 1 and the stale ack for seq 0 must leave it pending.
-  channel.send(0, 1, Probe{2}, 8);
-  channel.step();  // delivers the stale ack alongside B
-  channel.receive(0);
-  EXPECT_EQ(channel.pending_count(), 1u) << "stale ack cancelled a fresh send";
-  EXPECT_EQ(channel.receive(1).size(), 1u);  // B still arrives
-  channel.step();
-  channel.receive(0);  // B's own ack clears it
-  EXPECT_EQ(channel.pending_count(), 0u);
-
-  // The reset surfaced A as a typed abandonment.
-  const auto abandoned = channel.take_abandoned();
-  ASSERT_EQ(abandoned.size(), 1u);
-  EXPECT_EQ(abandoned[0].seq, 0u);
-  EXPECT_EQ(abandoned[0].from, 0);
-  EXPECT_EQ(abandoned[0].to, 1);
-  EXPECT_EQ(abandoned[0].reason,
-            ReliableChannel<Probe>::AbandonReason::kReset);
-  EXPECT_EQ(channel.counters().resets, 1u);
-}
-
-TEST(ReliableChannel, RetryBudgetExhaustionSurfacesTypedError) {
-  FaultPlan plan;
-  plan.with_loss(1.0);  // nothing ever arrives
-  FaultInjector injector(plan, support::Rng(101));
-  ReliableChannel<Probe>::Config config;
-  config.max_retries = 3;
-  ReliableChannel<Probe> channel(nullptr, &injector, config);
-  channel.send(2, 5, Probe{7}, 8);
-  for (int i = 0; i < 40; ++i) channel.step();
-  ASSERT_EQ(channel.pending_count(), 0u);
-
-  const auto abandoned = channel.take_abandoned();
-  ASSERT_EQ(abandoned.size(), 1u);
-  EXPECT_EQ(abandoned[0].from, 2);
-  EXPECT_EQ(abandoned[0].to, 5);
-  EXPECT_EQ(abandoned[0].retries, 3);
-  EXPECT_EQ(abandoned[0].reason,
-            ReliableChannel<Probe>::AbandonReason::kRetryBudget);
-  // Draining is destructive: the records are handed over exactly once.
-  EXPECT_TRUE(channel.take_abandoned().empty());
 }
 
 TEST(ReliableChannel, RecoversAfterPartitionHeals) {

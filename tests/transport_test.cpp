@@ -1,12 +1,13 @@
 // Transport backend coverage (DESIGN.md §15): wire codec round-trips, the
-// reliable link's delivery/dedup/abandon machinery, fault-plan mangler
-// determinism, scenario parsing, and — the heart of the tentpole — the
-// in-process deployment of the per-node protocol: bit-exact parity with
+// reliable link's delivery/dedup/abandon machinery, seeded datagram fuzzing,
+// fault-plan mangler determinism, scenario parsing, and the in-process
+// deployment of the per-node protocol: bit-exact parity with
 // dos::run_node_level_epoch when fault-free, and graceful convergence (or
 // bounded degradation, never a wedge) under scripted kills, partitions and
 // restarts. A threaded live-UDP smoke run closes the loop on real sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -124,14 +125,28 @@ TEST(Wire, RejectsCorruptedFrames) {
 
 // --- link layer -------------------------------------------------------------
 
+/// One link datagram: the header for (op, from, seq) followed by `payload`.
+std::vector<std::uint8_t> link_datagram(LinkOp op, sim::NodeId from,
+                                        std::uint32_t seq,
+                                        std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> datagram;
+  encode_link_header({op, from, 0, seq}, datagram);
+  datagram.insert(datagram.end(), payload.begin(), payload.end());
+  return datagram;
+}
+
 TEST(Link, HeaderRoundTripAndValidation) {
   LinkHeader header;
   header.op = LinkOp::kReliable;
   header.from = 42;
   header.incarnation = 3;
   header.seq = 77;
-  std::uint8_t buffer[kLinkHeaderBytes];
+  std::vector<std::uint8_t> buffer;
   encode_link_header(header, buffer);
+  // magic "RL", version, op, then from, incarnation and seq, little-endian.
+  EXPECT_EQ(buffer, (std::vector<std::uint8_t>{0x52, 0x4C, 1, 1, 42, 0, 0, 0,
+                                               0, 0, 0, 0, 3, 0, 0, 0, 77, 0,
+                                               0, 0}));
 
   LinkHeader back;
   ASSERT_TRUE(decode_link_header(buffer, back));
@@ -140,6 +155,9 @@ TEST(Link, HeaderRoundTripAndValidation) {
   EXPECT_EQ(back.incarnation, 3u);
   EXPECT_EQ(back.seq, 77u);
 
+  EXPECT_FALSE(decode_link_header(
+      std::span<const std::uint8_t>(buffer).first(kLinkHeaderBytes - 1),
+      back));
   buffer[0] ^= 0xFF;
   EXPECT_FALSE(decode_link_header(buffer, back));
   encode_link_header(header, buffer);
@@ -148,11 +166,7 @@ TEST(Link, HeaderRoundTripAndValidation) {
 }
 
 TEST(Link, RetransmitsUntilAckedWithBackoff) {
-  LinkConfig config;
-  config.initial_timeout_us = 100;
-  config.backoff_cap_us = 400;
-  config.max_retries = 10;
-  ReliableLink link(config, /*self=*/0, /*incarnation=*/0);
+  ReliableLink link(/*self=*/0, /*incarnation=*/0);
 
   const std::vector<std::uint8_t> payload = {1, 2, 3};
   const std::uint32_t seq = link.stage(payload, 0, /*tag=*/5);
@@ -164,40 +178,39 @@ TEST(Link, RetransmitsUntilAckedWithBackoff) {
     tags.push_back(tag);
     EXPECT_EQ(bytes.size(), kLinkHeaderBytes + payload.size());
   };
-  link.for_due(0, count);    // first transmission
-  link.for_due(50, count);   // not due yet
-  link.for_due(100, count);  // 1st retransmit (timeout 100)
-  link.for_due(250, count);  // not due (backoff doubled to 200, due at 300)
-  link.for_due(300, count);  // 2nd retransmit
+  link.for_due(0, count);        // first transmission
+  link.for_due(20'000, count);   // not due yet
+  link.for_due(40'000, count);   // 1st retransmit (timeout 40 ms)
+  link.for_due(100'000, count);  // not due (backoff doubled to 80 ms)
+  link.for_due(120'000, count);  // 2nd retransmit
   EXPECT_EQ(sends, 3);
   EXPECT_EQ(tags, (std::vector<std::int64_t>{5, 5, 5}));
   EXPECT_EQ(link.counters().retransmits, 2u);
 
   link.on_ack(seq, 0);
   EXPECT_EQ(link.pending(), 0u);
-  link.for_due(10'000, count);
+  link.for_due(4'000'000, count);
   EXPECT_EQ(sends, 3);
   EXPECT_EQ(link.counters().acked, 1u);
 }
 
 TEST(Link, AbandonsAfterRetryBudget) {
-  LinkConfig config;
-  config.initial_timeout_us = 10;
-  config.max_retries = 3;
-  ReliableLink link(config, 0, 0);
+  ReliableLink link(0, 0);
   link.stage(std::vector<std::uint8_t>{9}, 0);
 
   int sends = 0;
   const auto count = [&](std::span<const std::uint8_t>, std::uint32_t,
                          std::int64_t) { ++sends; };
-  for (std::int64_t now = 0; now < 10'000; now += 10) link.for_due(now, count);
-  EXPECT_EQ(sends, 3);
+  for (std::int64_t now = 0; now < 10'000'000; now += kLinkInitialTimeoutUs) {
+    link.for_due(now, count);
+  }
+  EXPECT_EQ(sends, kLinkMaxTransmissions);
   EXPECT_EQ(link.counters().abandoned, 1u);
   EXPECT_EQ(link.pending(), 0u);
 }
 
 TEST(Link, CancelStaleDropsOnlyOlderTags) {
-  ReliableLink link(LinkConfig{}, 0, 0);
+  ReliableLink link(0, 0);
   link.stage(std::vector<std::uint8_t>{1}, 0, /*tag=*/4);
   link.stage(std::vector<std::uint8_t>{2}, 0, /*tag=*/5);
   link.stage(std::vector<std::uint8_t>{3}, 0, /*tag=*/6);
@@ -217,7 +230,7 @@ TEST(Link, CancelStaleDropsOnlyOlderTags) {
 }
 
 TEST(Link, ReceiverDeduplicatesAndAcksEverything) {
-  ReliableLink link(LinkConfig{}, 0, 0);
+  ReliableLink link(0, 0);
   EXPECT_TRUE(link.on_data(1, 0));
   EXPECT_TRUE(link.on_data(3, 0));   // out of order
   EXPECT_FALSE(link.on_data(1, 0));  // duplicate below/at floor
@@ -233,7 +246,7 @@ TEST(Link, ReceiverDeduplicatesAndAcksEverything) {
 }
 
 TEST(Link, IncarnationBumpResetsDedupAndStaleAcksAreIgnored) {
-  ReliableLink link(LinkConfig{}, 0, /*incarnation=*/1);
+  ReliableLink link(0, /*incarnation=*/1);
   EXPECT_TRUE(link.on_data(1, 0));
   EXPECT_TRUE(link.on_data(2, 0));
   // The peer restarted: its fresh life reuses low sequence numbers.
@@ -501,6 +514,113 @@ TEST(ForgedFrame, BroadcastStateWithUnknownSupernodeIsRejected) {
   EXPECT_EQ(node.metrics().resyncs, 0);
 }
 
+// --- datagram fuzz ----------------------------------------------------------
+// A forged or corrupted datagram must never crash a node. The corpus is every
+// distinct frame one node emits over an attempt plus the runtime's heartbeat
+// of each round, wrapped as unreliable, reliable and ack datagrams. A fixed
+// seed mutates each copy before it reaches a never-opened UdpTransport, and
+// whatever poll() releases goes on to NodeProtocol::on_round.
+
+/// Applies one to three seeded mutations: bit flips, byte overwrites,
+/// truncation, extension, and extreme 4- or 8-byte values.
+void mutate(std::vector<std::uint8_t>& bytes, support::Rng& rng) {
+  for (auto edits = 1 + rng.below(3); edits > 0 && !bytes.empty(); --edits) {
+    const auto at = static_cast<std::size_t>(rng.below(bytes.size()));
+    switch (rng.below(6)) {
+      case 0:
+        bytes[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      case 1:
+        bytes[at] = static_cast<std::uint8_t>(rng.below(256));
+        break;
+      case 2:
+        bytes.resize(at);
+        break;
+      case 3:
+        for (auto extra = 1 + rng.below(16); extra > 0; --extra) {
+          bytes.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        }
+        break;
+      default: {
+        // 0, the largest and smallest signed value, or all ones.
+        const std::size_t width = rng.coin() ? 4 : 8;
+        if (bytes.size() < width) break;
+        const std::uint64_t top = std::uint64_t{1} << (8 * width - 1);
+        const std::uint64_t extremes[] = {0, top - 1, top, top | (top - 1)};
+        const std::uint64_t value = extremes[rng.below(4)];
+        const auto start =
+            static_cast<std::size_t>(rng.below(bytes.size() - width + 1));
+        for (std::size_t i = 0; i < width; ++i) {
+          bytes[start + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        }
+      }
+    }
+  }
+}
+
+TEST(DatagramFuzz, MutatedDatagramsNeverCrashANode) {
+  constexpr int kCopies = 64;  // mutated copies per frame and link op
+  NodeProtocol sender = lone_node();
+  NodeProtocol receiver = lone_node();
+  UdpConfig config;
+  config.self = receiver.self();
+  config.nodes = 64;
+  UdpTransport transport(config);  // never opened: socket-free paths only
+
+  support::Rng rng(0xF022);
+  std::uint32_t seq = 0;
+  std::uint64_t fed = 0;
+  std::uint64_t unaccounted = 0;
+  std::uint64_t released = 0;
+  NodeProtocol::Outbox sent;
+  NodeProtocol::Outbox out;
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::uint8_t> bytes;
+  std::vector<sim::Envelope<Message>> inbox;
+  for (sim::Round round = 0; round < sender.epoch_rounds(); ++round) {
+    sent.clear();
+    sender.on_round(round, {}, sent, {});
+    Message heartbeat;
+    heartbeat.round = round;
+    sent.emplace_back(0, heartbeat);
+    frames.clear();
+    for (const auto& [to, msg] : sent) {
+      encode(msg, bytes);
+      if (std::find(frames.begin(), frames.end(), bytes) == frames.end()) {
+        frames.push_back(bytes);
+      }
+    }
+    // Frames sent in `round` are released by poll() in round + 1.
+    transport.advance_round(round + 1);
+    for (const auto& frame : frames) {
+      for (const LinkOp op : {LinkOp::kUnreliable, LinkOp::kReliable,
+                              LinkOp::kAck}) {
+        for (int copy = 0; copy < kCopies; ++copy) {
+          const auto from = static_cast<sim::NodeId>(1 + rng.below(63));
+          bytes = link_datagram(
+              op, from, ++seq,
+              op == LinkOp::kAck ? std::span<const std::uint8_t>() : frame);
+          mutate(bytes, rng);
+          const UdpTransport::Counters& c = transport.counters();
+          const std::uint64_t seen = c.datagrams_received + c.decode_failures;
+          EXPECT_NO_THROW((void)transport.on_datagram(bytes, round));
+          if (c.datagrams_received + c.decode_failures == seen) ++unaccounted;
+          ++fed;
+        }
+      }
+    }
+    transport.tick(round);  // drains the queued acks
+    inbox.clear();
+    transport.poll(inbox);
+    released += inbox.size();
+    out.clear();
+    EXPECT_NO_THROW(receiver.on_round(round + 1, inbox, out, {}));
+  }
+  EXPECT_EQ(unaccounted, 0u) << "of " << fed << " datagrams";
+  EXPECT_GT(fed, 1000u);
+  EXPECT_GT(released, 0u) << "no mutated frame got past decode";
+}
+
 // --- live UDP smoke ---------------------------------------------------------
 
 TEST(LiveUdp, SixteenThreadedNodesConvergeAndMatchInproc) {
@@ -576,13 +696,8 @@ TEST(UdpTransport, DatagramHandlerRejectsGarbageAndCountsLateFrames) {
   beat.round = 6;
   std::vector<std::uint8_t> payload;
   encode(beat, payload);
-  std::vector<std::uint8_t> datagram(kLinkHeaderBytes + payload.size());
-  LinkHeader header;
-  header.op = LinkOp::kUnreliable;
-  header.from = 2;
-  encode_link_header(header, datagram.data());
-  std::copy(payload.begin(), payload.end(),
-            datagram.begin() + kLinkHeaderBytes);
+  std::vector<std::uint8_t> datagram =
+      link_datagram(LinkOp::kUnreliable, /*from=*/2, /*seq=*/0, payload);
 
   EXPECT_TRUE(transport.on_datagram(datagram, 0));
   EXPECT_EQ(transport.counters().heartbeats_received, 1u);
@@ -593,16 +708,57 @@ TEST(UdpTransport, DatagramHandlerRejectsGarbageAndCountsLateFrames) {
   stale.kind = MsgKind::kCommitVote;
   stale.round = 1;
   encode(stale, payload);
-  datagram.assign(kLinkHeaderBytes + payload.size(), 0);
-  header.op = LinkOp::kReliable;
-  header.seq = 1;
-  encode_link_header(header, datagram.data());
-  std::copy(payload.begin(), payload.end(),
-            datagram.begin() + kLinkHeaderBytes);
+  datagram = link_datagram(LinkOp::kReliable, 2, /*seq=*/1, payload);
   transport.advance_round(10);
   EXPECT_TRUE(transport.on_datagram(datagram, 0));
   EXPECT_EQ(transport.counters().late_frames, 1u);
   std::vector<sim::Envelope<Message>> inbox;
+  transport.poll(inbox);
+  EXPECT_TRUE(inbox.empty());
+}
+
+TEST(UdpTransport, UnreadableReliablePayloadIsNeitherAckedNorDelivered) {
+  UdpConfig config;
+  config.self = 0;
+  config.nodes = 4;
+  UdpTransport transport(config);  // never opened: socket-free paths only
+  transport.advance_round(4);
+
+  Message assign;
+  assign.kind = MsgKind::kAssign;
+  assign.round = 3;
+  assign.assigned = 1;
+  assign.supernode = 2;
+  std::vector<std::uint8_t> payload;
+  encode(assign, payload);
+  const std::vector<std::uint8_t> intact =
+      link_datagram(LinkOp::kReliable, /*from=*/2, /*seq=*/1, payload);
+  std::vector<std::uint8_t> unreadable = intact;
+  unreadable[kLinkHeaderBytes] ^= 0xFF;  // frame magic
+
+  // The unreadable copy is dropped before the link sees it: no ack, so the
+  // sender retransmits, and its sequence number stays fresh.
+  EXPECT_FALSE(transport.on_datagram(unreadable, 0));
+  EXPECT_EQ(transport.counters().decode_failures, 1u);
+  EXPECT_EQ(transport.link(2).counters().delivered, 0u);
+  transport.tick(0);
+  EXPECT_EQ(transport.counters().acks_sent, 0u);
+
+  // The intact retransmission under the same number is delivered, once.
+  EXPECT_TRUE(transport.on_datagram(intact, 0));
+  EXPECT_TRUE(transport.on_datagram(intact, 0));
+  EXPECT_EQ(transport.link(2).counters().delivered, 1u);
+  EXPECT_EQ(transport.link(2).counters().duplicates, 1u);
+  transport.tick(0);
+  EXPECT_EQ(transport.counters().acks_sent, 2u);
+
+  std::vector<sim::Envelope<Message>> inbox;
+  transport.poll(inbox);
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0].from, 2u);
+  EXPECT_EQ(inbox[0].payload.kind, MsgKind::kAssign);
+  EXPECT_EQ(inbox[0].payload.assigned, 1u);
+  inbox.clear();
   transport.poll(inbox);
   EXPECT_TRUE(inbox.empty());
 }
