@@ -81,12 +81,12 @@ int main() {
 
   // Every id that ever joined either is a member or has left for good —
   // the membership is monotonic.
-  const auto& everyone = overlay.ever_members();
+  const std::size_t everyone = overlay.ever_member_count();
   std::unordered_set<sim::NodeId> current(overlay.members().begin(),
                                           overlay.members().end());
-  std::cout << "\nlifetime peers: " << everyone.size()
+  std::cout << "\nlifetime peers: " << everyone
             << ", active now: " << current.size()
-            << ", departed for good: " << everyone.size() - current.size()
+            << ", departed for good: " << everyone - current.size()
             << "\nno phase fragmented the swarm.\n";
   return 0;
 }

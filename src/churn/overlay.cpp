@@ -18,10 +18,10 @@ ChurnOverlay::ChurnOverlay(const Config& config)
                                       rng_)) {
   members_.reserve(config.initial_size);
   for (std::size_t i = 0; i < config.initial_size; ++i) {
-    const sim::NodeId id = ids_.allocate();
-    members_.push_back(id);
-    ever_members_.insert(id);
+    members_.push_back(ids_.allocate());
   }
+  ever_member_.assign(config.initial_size, true);
+  ever_member_count_ = config.initial_size;
 }
 
 std::vector<sim::NodeId> ChurnOverlay::departing() const {
@@ -54,10 +54,18 @@ void ChurnOverlay::poll_adversary(adversary::ChurnAdversary& adversary,
           staged_leaves_.contains(sponsor)) {
         throw std::logic_error("churn adversary violated the sponsor rule");
       }
-      if (ever_members_.contains(fresh)) {
+      if (fresh >= ids_.allocated()) {
+        throw std::logic_error(
+            "churn adversary joined an id the overlay never issued");
+      }
+      if (ever_member_.size() < ids_.allocated()) {
+        ever_member_.resize(static_cast<std::size_t>(ids_.allocated()));
+      }
+      if (ever_member_[static_cast<std::size_t>(fresh)]) {
         throw std::logic_error("churn adversary reused a node id");
       }
-      ever_members_.insert(fresh);
+      ever_member_[static_cast<std::size_t>(fresh)] = true;
+      ++ever_member_count_;
       staged_joins_[sponsor].push_back(fresh);
     }
     for (sim::NodeId leaver : batch.leaves) {

@@ -72,9 +72,10 @@ class ChurnOverlay {
   /// omniscient topology-aware adversaries).
   [[nodiscard]] std::vector<sim::NodeId> cycle_order(int cycle) const;
 
-  /// All ids that ever were members; monotonicity check support.
-  [[nodiscard]] const std::unordered_set<sim::NodeId>& ever_members() const {
-    return ever_members_;
+  /// Number of ids ever admitted (initial members plus accepted joins);
+  /// every one of them is a member or has left for good.
+  [[nodiscard]] std::size_t ever_member_count() const {
+    return ever_member_count_;
   }
 
  private:
@@ -92,7 +93,10 @@ class ChurnOverlay {
   // lenient adversary may still sponsor joins on them, exercising the
   // delegation rule at the epoch boundary).
   std::unordered_set<sim::NodeId> epoch_departing_;
-  std::unordered_set<sim::NodeId> ever_members_;
+  // ever_member_[id]: `id` was ever admitted. Ids come dense and monotonic
+  // from ids_, so one bit per issued id backs the never-reused check.
+  std::vector<bool> ever_member_;
+  std::size_t ever_member_count_ = 0;
 
   void poll_adversary(adversary::ChurnAdversary& adversary, sim::Round rounds);
 };

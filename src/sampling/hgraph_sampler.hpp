@@ -5,14 +5,17 @@
 // w.h.p. and delivers >= beta log n almost-uniform samples per node in
 // O(log log n) communication rounds (Theorem 2).
 //
-// The implementation runs at message level on sim::Bus. Each loop iteration
-// costs two bus rounds (requests travel in one round, responses in the next;
-// the paper's Phase 4 of iteration i and Phase 2 of iteration i+1 share a
-// round). Walk lengths are carried as simulation-only metadata so tests can
-// check the Lemma 5 invariant directly; they are not charged as message bits.
+// The implementation runs at message level on the flat request/serve/accept
+// exchange (sampling/exchange.hpp). Each loop iteration costs two rounds
+// (requests travel in one round, responses in the next; the paper's Phase 4
+// of iteration i and Phase 2 of iteration i+1 share a round). Walk lengths
+// are carried as simulation-only metadata so tests can check the Lemma 5
+// invariant directly; they are not charged as message bits.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/hgraph.hpp"
@@ -28,39 +31,51 @@ namespace reconfnet::sampling {
 
 /// An element of the multiset M: the endpoint of a random walk starting at
 /// the owning node, together with the walk's length (validation metadata).
+/// Vertex indices are 32-bit, like the exchange's node indices.
 struct WalkEntry {
-  std::size_t vertex = 0;
-  std::size_t length = 0;
+  std::uint32_t vertex = 0;
+  std::uint32_t length = 0;
 };
 
 /// Per-node state machine for Algorithm 1 over dense vertex indices.
-/// A driver wires cores together: standalone over sim::Bus (below) or inside
-/// the reconfiguration protocols.
+/// run_hgraph_sampling (below) wires the cores together over the exchange.
 class HGraphSamplerCore {
  public:
   struct Request {
-    std::size_t requester = 0;
-    std::size_t requester_walk_length = 0;
+    std::uint32_t requester = 0;
+    std::uint32_t requester_walk_length = 0;
   };
+  /// A spliced walk. Every walk has length >= 1, so length 0 marks the
+  /// failed response of a dry server.
   struct Response {
-    std::size_t vertex = 0;
-    std::size_t length = 0;
-    bool ok = false;
+    std::uint32_t vertex = 0;
+    std::uint32_t length = 0;
+    [[nodiscard]] bool ok() const { return length != 0; }
   };
 
   HGraphSamplerCore(std::size_t self, Schedule schedule, support::Rng rng);
 
   /// Phase 1: fills M with m_0 uniformly random neighbors, i.e. endpoints of
-  /// walks of length 1.
-  void init(const graph::HGraph& graph);
+  /// walks of length 1. `neighbors[p]` is the neighbor through port p.
+  void init(std::span<const std::uint32_t> neighbors);
 
   /// Phase 2 of iteration i (1-based): extracts m_i entries from M; each
-  /// yields a request addressed to the extracted walk endpoint.
-  [[nodiscard]] std::vector<std::pair<std::size_t, Request>> make_requests(
-      int iteration);
+  /// yields a request addressed to the extracted walk endpoint. The
+  /// extracted entries stay in the tail of M's storage until Phase 3 ends.
+  void make_requests(int iteration);
+
+  /// Calls f(destination, request) for each request of the current
+  /// iteration, in extraction (send) order.
+  template <typename F>
+  void for_each_request(F&& f) const {
+    for (std::size_t k = m_.size(); k > live_; --k) {
+      const WalkEntry& entry = m_[k - 1];
+      f(entry.vertex, Request{self_, entry.length});
+    }
+  }
 
   /// Phase 3: serves one incoming request by extracting an entry from M and
-  /// splicing the walks. A dry M yields ok = false.
+  /// splicing the walks. A dry M yields a failed response.
   [[nodiscard]] Response serve(const Request& request);
 
   /// End of Phase 3: un-served leftovers of M are discarded (Algorithm 1
@@ -79,7 +94,9 @@ class HGraphSamplerCore {
   /// the walk endpoints).
   void shuffle_multiset();
 
-  [[nodiscard]] const std::vector<WalkEntry>& multiset() const { return m_; }
+  [[nodiscard]] std::span<const WalkEntry> multiset() const {
+    return {m_.data(), live_};
+  }
   [[nodiscard]] std::size_t dry_events() const { return dry_events_; }
   [[nodiscard]] std::size_t failed_responses() const {
     return failed_responses_;
@@ -88,14 +105,18 @@ class HGraphSamplerCore {
   [[nodiscard]] const Schedule& schedule() const { return schedule_; }
 
  private:
-  std::size_t self_;
+  std::uint32_t self_;
   Schedule schedule_;
   support::Rng rng_;
+  /// M is m_[0, live_); between Phase 2 and the end of Phase 3 the tail
+  /// m_[live_, size) holds this iteration's requests, last one first.
   std::vector<WalkEntry> m_;
+  std::size_t live_ = 0;
   std::size_t dry_events_ = 0;
   std::size_t failed_responses_ = 0;
 
-  /// Removes and returns a uniformly random entry, or nullopt if dry.
+  /// Moves a uniformly random entry of M to the front of the tail and
+  /// returns it; false (a dry event) if M is empty.
   [[nodiscard]] bool extract(WalkEntry& out);
 };
 
@@ -109,12 +130,16 @@ struct HGraphSamplingResult {
   std::vector<std::vector<std::size_t>> samples;
   /// walk_lengths[v][k] = length of the walk that produced samples[v][k].
   std::vector<std::vector<std::size_t>> walk_lengths;
+  /// Copies the fault hook delivered after their phase had ended, e.g. a
+  /// request delayed into the next iteration. They are discarded unused.
+  std::size_t late_copies = 0;
 };
 
 /// Runs Algorithm 1 on every node of `graph` simultaneously and returns all
-/// samples. Drives the cores over a sim::Bus with full communication-work
+/// samples. Drives the cores over the exchange with full communication-work
 /// accounting. An optional fault hook makes delivery lossy; lost or delayed
-/// traffic surfaces as dry multisets (success = false), never wrong samples.
+/// traffic surfaces as dry multisets (success = false) or fewer samples,
+/// never wrong samples: a late copy is discarded, not used.
 HGraphSamplingResult run_hgraph_sampling(const graph::HGraph& graph,
                                          const Schedule& schedule,
                                          support::Rng& rng,

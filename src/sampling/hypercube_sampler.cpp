@@ -4,8 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/bus.hpp"
-#include "sim/metrics.hpp"
+#include "sampling/exchange.hpp"
 
 namespace reconfnet::sampling {
 
@@ -133,10 +132,34 @@ bool HypercubeSamplerCore::live_block(int j, int iterations_done) {
 
 namespace {
 
-struct WireMsg {
-  bool is_request = false;
-  HypercubeSamplerCore::Request request{};
-  HypercubeSamplerCore::Response response{};
+/// The exchange's view of the cores: each node's own Rng stream, and the
+/// requests make_requests returned for the current iteration.
+struct HypercubeCores {
+  using Request = HypercubeSamplerCore::Request;
+  using Response = HypercubeSamplerCore::Response;
+
+  std::vector<HypercubeSamplerCore>& cores;
+  std::vector<support::Rng>& rngs;
+  std::vector<std::vector<std::pair<std::uint64_t, Request>>> pending;
+
+  void init(std::size_t v) { cores[v].init(rngs[v]); }
+  void make_requests(std::size_t v, int i) {
+    pending[v] = cores[v].make_requests(i, rngs[v]);
+  }
+  template <typename F>
+  void for_each_request(std::size_t v, F&& f) const {
+    for (const auto& [dest, request] : pending[v]) {
+      f(static_cast<std::size_t>(dest), request);
+    }
+  }
+  Response serve(std::size_t v, const Request& request, int i) {
+    return cores[v].serve(request, i, rngs[v]);
+  }
+  void end_serve(std::size_t v, int i) { cores[v].discard_consumed(i); }
+  void accept(std::size_t v, const Response& response) {
+    cores[v].accept(response, rngs[v]);
+  }
+  void end_accept(std::size_t /*v*/) {}
 };
 
 }  // namespace
@@ -158,39 +181,17 @@ HypercubeSamplingResult run_hypercube_sampling(const graph::Hypercube& cube,
   for (std::uint64_t v = 0; v < n; ++v) {
     cores.emplace_back(cube.dimension(), v, schedule);
     rngs.push_back(rng.split(v));
-    cores.back().init(rngs.back());
   }
 
-  sim::WorkMeter meter;
-  sim::Bus<WireMsg> bus(&meter);
-
-  for (int i = 1; i <= schedule.iterations; ++i) {
-    for (std::uint64_t v = 0; v < n; ++v) {
-      for (auto& [dest, request] : cores[v].make_requests(i, rngs[v])) {
-        bus.send(v, dest, WireMsg{true, request, {}}, bits_per_msg);
-      }
-    }
-    bus.step();
-    for (std::uint64_t v = 0; v < n; ++v) {
-      for (const auto& envelope : bus.inbox(v)) {
-        const auto response =
-            cores[v].serve(envelope.payload.request, i, rngs[v]);
-        bus.send(v, envelope.payload.request.requester,
-                 WireMsg{false, {}, response}, bits_per_msg);
-      }
-      cores[v].discard_consumed(i);
-    }
-    bus.step();
-    for (std::uint64_t v = 0; v < n; ++v) {
-      for (const auto& envelope : bus.inbox(v)) {
-        cores[v].accept(envelope.payload.response, rngs[v]);
-      }
-    }
-  }
+  HypercubeCores sampler{cores, rngs, {}};
+  sampler.pending.resize(n);
+  const ExchangeStats stats =
+      run_exchange(sampler, static_cast<std::size_t>(n), schedule.iterations,
+                   bits_per_msg, nullptr);
 
   HypercubeSamplingResult result;
-  result.rounds = bus.round();
-  result.max_node_bits_per_round = meter.max_node_bits_any_round();
+  result.rounds = stats.rounds;
+  result.max_node_bits_per_round = stats.max_node_bits_per_round;
   result.samples.resize(n);
   for (std::uint64_t v = 0; v < n; ++v) {
     result.dry_events += cores[v].dry_events();

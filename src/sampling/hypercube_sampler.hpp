@@ -121,8 +121,9 @@ struct HypercubeSamplingResult {
   std::vector<std::vector<std::uint64_t>> samples;
 };
 
-/// Runs Algorithm 2 on every vertex of the hypercube simultaneously over a
-/// sim::Bus with communication-work accounting.
+/// Runs Algorithm 2 on every vertex of the hypercube simultaneously over the
+/// request/serve/accept exchange (sampling/exchange.hpp) with
+/// communication-work accounting.
 HypercubeSamplingResult run_hypercube_sampling(const graph::Hypercube& cube,
                                                const Schedule& schedule,
                                                support::Rng& rng);

@@ -3,13 +3,6 @@
 #include <numeric>
 
 namespace reconfnet::support {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9E3779B97F4A7C15ULL;
@@ -29,34 +22,6 @@ Rng Rng::split(std::uint64_t stream_index) noexcept {
   // current state without consuming from the main stream more than once.
   std::uint64_t mix = next() ^ (0x9E3779B97F4A7C15ULL * (stream_index + 1));
   return Rng(splitmix64(mix));
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire's method: multiply-shift with rejection of the biased low range.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) noexcept {

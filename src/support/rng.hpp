@@ -41,8 +41,19 @@ class Rng {
   /// the same parent are statistically independent for simulation purposes.
   [[nodiscard]] Rng split(std::uint64_t stream_index) noexcept;
 
-  /// Raw 64 random bits.
-  std::uint64_t next() noexcept;
+  /// Raw 64 random bits (xoshiro256++ step). Inline: the samplers draw
+  /// tens of millions of values per epoch.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
@@ -53,7 +64,21 @@ class Rng {
 
   /// Uniform integer in [0, bound). Requires bound > 0. Uses Lemire's
   /// nearly-divisionless rejection method, so the result is exactly uniform.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    // Multiply-shift with rejection of the biased low range.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept;
@@ -81,6 +106,10 @@ class Rng {
   [[nodiscard]] std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
 };
 

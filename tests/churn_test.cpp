@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -458,6 +460,69 @@ TEST(ChurnOverlay, MembershipIsMonotonic) {
       if (!after.contains(id)) seen_gone.insert(id);
     }
   }
+}
+
+/// Joins scripted ids, one per round, each sponsored by the first member.
+/// kFresh draws a fresh id from the overlay's allocator; kAgain repeats the
+/// last fresh one.
+class ScriptedJoins final : public adversary::ChurnAdversary {
+ public:
+  static constexpr sim::NodeId kFresh = sim::kNoNode;
+  static constexpr sim::NodeId kAgain = sim::kNoNode - 1;
+
+  explicit ScriptedJoins(std::vector<sim::NodeId> ids) : ids_(std::move(ids)) {}
+
+  adversary::ChurnBatch next(const adversary::ChurnView& view,
+                             sim::IdAllocator& ids) override {
+    adversary::ChurnBatch batch;
+    if (next_ >= ids_.size()) return batch;
+    sim::NodeId id = ids_[next_++];
+    if (id == kFresh) id = fresh_ = ids.allocate();
+    if (id == kAgain) id = fresh_;
+    batch.joins.emplace_back(id, view.members.front());
+    return batch;
+  }
+
+ private:
+  std::vector<sim::NodeId> ids_;
+  std::size_t next_ = 0;
+  sim::NodeId fresh_ = sim::kNoNode;
+};
+
+/// Runs epochs until one throws std::logic_error; returns its message.
+std::string epoch_error(ChurnOverlay& overlay,
+                        adversary::ChurnAdversary& adversary) {
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    try {
+      overlay.run_epoch(adversary);
+    } catch (const std::logic_error& error) {
+      return error.what();
+    }
+  }
+  return "";
+}
+
+TEST(ChurnOverlay, RejectsAReusedNodeId) {
+  // An initial member's id.
+  ChurnOverlay initial(overlay_config(32, 18));
+  ScriptedJoins reuse_member({initial.members().back()});
+  EXPECT_EQ(epoch_error(initial, reuse_member),
+            "churn adversary reused a node id");
+  EXPECT_EQ(initial.ever_member_count(), 32u);
+
+  // A joiner's id, offered again a round later.
+  ChurnOverlay joined(overlay_config(32, 19));
+  ScriptedJoins rejoin({ScriptedJoins::kFresh, ScriptedJoins::kAgain});
+  EXPECT_EQ(epoch_error(joined, rejoin), "churn adversary reused a node id");
+  EXPECT_EQ(joined.ever_member_count(), 33u);
+}
+
+TEST(ChurnOverlay, RejectsAJoinIdTheOverlayNeverIssued) {
+  ChurnOverlay overlay(overlay_config(32, 20));
+  ScriptedJoins forged({ScriptedJoins::kFresh, overlay.ids().allocated() + 5});
+  EXPECT_EQ(epoch_error(overlay, forged),
+            "churn adversary joined an id the overlay never issued");
+  EXPECT_EQ(overlay.ever_member_count(), 33u);
 }
 
 TEST(ChurnOverlay, GrowthAndShrinkage) {
