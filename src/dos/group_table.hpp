@@ -55,6 +55,10 @@ class GroupTable {
   [[nodiscard]] std::uint64_t supernode_of(sim::NodeId node) const {
     return node_to_supernode_.at(node);
   }
+  /// True iff `node` is a member of some group.
+  [[nodiscard]] bool contains(sim::NodeId node) const {
+    return node_to_supernode_.contains(node);
+  }
 
   [[nodiscard]] std::size_t min_group_size() const;
   [[nodiscard]] std::size_t max_group_size() const;

@@ -2,11 +2,12 @@
 // Transport seam (DESIGN.md §15).
 //
 // The hub owns one Bus<encoded frame> shared by every endpoint; each send
-// runs through the wire codec and the FaultPlan-driven PacketMangler — the
-// same sender-side seam the UDP backend interposes — so crash and partition
-// windows are round-for-round identical across the two backends. Heartbeats
-// are metered by the protocol but not transmitted here: the lockstep driver
-// needs no liveness signal.
+// runs through the FaultPlan-driven PacketMangler — the same sender-side
+// seam the UDP backend interposes, so crash and partition windows are
+// round-for-round identical across the two backends — and then through the
+// wire codec, straight into the hub's frame arena. Heartbeats are metered by
+// the protocol but not transmitted here: the lockstep driver needs no
+// liveness signal.
 //
 // InprocDeployment is the lockstep driver on top: n NodeProtocol instances,
 // one bus round per protocol round, crashed nodes skipped (and their
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dos/group_table.hpp"
@@ -33,14 +35,54 @@
 
 namespace reconfnet::transport {
 
-/// One encoded frame on the in-process bus: the exact bytes UdpTransport
-/// would put in a datagram (registered in tools/protocheck/protocol.toml).
+/// One encoded frame on the in-process bus: where the hub's arena holds the
+/// exact bytes UdpTransport would put in a datagram (registered in
+/// tools/protocheck/protocol.toml). A location, not a pointer, so the bus
+/// payload stays a plain value.
 struct Frame {
-  std::vector<std::uint8_t> bytes;
+  std::uint32_t chunk = 0;
+  std::uint32_t offset = 0;
+  std::uint32_t size = 0;
 };
 
-/// Shared state of one in-process deployment: the bus, the work meter and
-/// the packet mangler all endpoints route through.
+/// The encoded frames of one round, packed front to back into fixed-size
+/// chunks that are allocated on first use and recycled every round. A frame
+/// larger than a chunk gets a chunk of its own.
+class FrameArena {
+ public:
+  /// Reserves `size` bytes for one frame; write them through bytes().
+  /// Throws std::length_error above 4 GiB, which the wire's 32-bit length
+  /// field cannot describe.
+  Frame allocate(std::size_t size);
+
+  [[nodiscard]] std::span<std::uint8_t> bytes(const Frame& frame) {
+    return {chunks_[frame.chunk].bytes.get() + frame.offset, frame.size};
+  }
+  [[nodiscard]] std::span<const std::uint8_t> bytes(const Frame& frame) const {
+    return {chunks_[frame.chunk].bytes.get() + frame.offset, frame.size};
+  }
+
+  /// Forgets every frame and keeps the chunks for the next round.
+  void clear() {
+    open_ = 0;
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 18;
+
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::size_t capacity = 0;
+  };
+
+  std::vector<Chunk> chunks_;
+  std::size_t open_ = 0;  ///< chunks in use this round; the last one fills
+  std::size_t used_ = 0;  ///< bytes used in chunks_[open_ - 1]
+};
+
+/// Shared state of one in-process deployment: the bus, the work meter, the
+/// packet mangler all endpoints route through, and the frame arenas.
 class InprocHub {
  private:
   // State precedes the methods: the protocol-conformance checker
@@ -49,6 +91,14 @@ class InprocHub {
   sim::WorkMeter meter_;
   sim::Bus<Frame> bus_;
   PacketMangler mangler_;
+  /// Frames sent this round, and frames delivered at its start (sent in the
+  /// round before). The bus has no delivery hook, so every frame is read in
+  /// the round after it was sent or never, and step() can recycle the
+  /// delivered arena for the next round's sends.
+  FrameArena sending_;
+  FrameArena delivered_;
+  std::vector<bool> endpoints_;  ///< ids with an attached endpoint
+  std::uint64_t unroutable_ = 0;
 
  public:
   InprocHub(fault::FaultPlan plan, std::uint64_t fault_salt)
@@ -56,12 +106,29 @@ class InprocHub {
 
   [[nodiscard]] PacketMangler& mangler() { return mangler_; }
   [[nodiscard]] const sim::WorkMeter& meter() const { return meter_; }
-  [[nodiscard]] sim::Round round() const { return bus_.round(); }
+  /// Frames dropped because no endpoint has their destination id.
+  [[nodiscard]] std::uint64_t unroutable_frames() const { return unroutable_; }
 
-  /// Ships one encoded frame, charged at its exact byte length.
-  void send(sim::NodeId from, sim::NodeId to,
-            const std::vector<std::uint8_t>& bytes) {
-    bus_.send(from, to, Frame{bytes}, 8ull * bytes.size());
+  /// Registers the endpoint of `node`; frames to ids without one are dropped.
+  void attach(sim::NodeId node) {
+    const auto index = static_cast<std::size_t>(node);
+    if (index >= endpoints_.size()) endpoints_.resize(index + 1);
+    endpoints_[index] = true;
+  }
+
+  /// Encodes `msg` into this round's arena and ships it, charged at its
+  /// exact byte length. Returns false when the frame is not sent: its
+  /// destination has no endpoint, or the mangler dropped it.
+  bool send(sim::NodeId from, sim::NodeId to, const Message& msg) {
+    if (to >= endpoints_.size() || !endpoints_[static_cast<std::size_t>(to)]) {
+      ++unroutable_;
+      return false;
+    }
+    if (mangler_.drop(from, to, bus_.round(), /*attempt=*/0)) return false;
+    const Frame frame = sending_.allocate(encoded_bytes(msg));
+    encode_into(msg, sending_.bytes(frame));
+    bus_.send(from, to, frame, 8ull * frame.size);
+    return true;
   }
 
   /// Frames delivered to `node` for the current round.
@@ -69,8 +136,19 @@ class InprocHub {
     return bus_.inbox(node);
   }
 
-  /// Advances the round boundary (no DoS blocking on the transport path).
-  void step() { bus_.step(); }
+  /// The bytes of a frame from inbox().
+  [[nodiscard]] std::span<const std::uint8_t> bytes(const Frame& frame) const {
+    return delivered_.bytes(frame);
+  }
+
+  /// Advances the round boundary (no DoS blocking on the transport path):
+  /// this round's frames become the delivered ones, and the arena of the
+  /// frames just read takes the next round's sends.
+  void step() {
+    bus_.step();
+    std::swap(sending_, delivered_);
+    sending_.clear();
+  }
 };
 
 /// One node's endpoint on the hub.
@@ -82,8 +160,9 @@ class InprocTransport final : public Transport {
     std::uint64_t decode_failures = 0;
   };
 
-  InprocTransport(InprocHub* hub, sim::NodeId self)
-      : hub_(hub), self_(self) {}
+  InprocTransport(InprocHub* hub, sim::NodeId self) : hub_(hub), self_(self) {
+    hub_->attach(self_);
+  }
 
   void send(sim::NodeId to, const Message& msg) override;
   void poll(std::vector<sim::Envelope<Message>>& out) override;
@@ -95,7 +174,6 @@ class InprocTransport final : public Transport {
   InprocHub* hub_;
   sim::NodeId self_;
   Counters counters_;
-  std::vector<std::uint8_t> encode_scratch_;
 };
 
 /// Lockstep driver: the whole Section 5 deployment in one process.

@@ -610,6 +610,13 @@ bool NodeProtocol::plausible(const Message& msg) const {
              (super.resp_j >= 1 && super.resp_j <= d &&
               super.resp_vertex < supernodes);
     }
+    case MsgKind::kAssign:
+      // Round B adds `assigned` to the fresh group and sends it the group.
+      return msg.supernode < supernodes && table_.contains(msg.assigned);
+    case MsgKind::kLookup:
+    case MsgKind::kLookupReply:
+      // The home group replies to `origin`.
+      return table_.contains(msg.origin);
     default:
       return true;
   }

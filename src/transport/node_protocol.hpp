@@ -158,10 +158,12 @@ class NodeProtocol {
   void emit(Outbox& out, sim::NodeId to, Message msg);
   /// True iff the frame belongs to the current (epoch, attempt).
   [[nodiscard]] bool current_tag(const Message& msg) const;
-  /// True iff the fields the phase handlers index with are in range:
-  /// sampler states carry d blocks of supernode ids below 2^d and a seq in
-  /// [0, P]; a successful sampler response names a block in [1, d] and a
-  /// supernode below 2^d. Frames arrive from outside on the live path.
+  /// True iff the fields the phase handlers index with or send to are in
+  /// range: sampler states carry d blocks of supernode ids below 2^d and a
+  /// seq in [0, P]; a successful sampler response names a block in [1, d]
+  /// and a supernode below 2^d; an assignment names a supernode below 2^d
+  /// and a node of the current table, and a lookup or its reply an origin
+  /// of the current table. Frames arrive from outside on the live path.
   [[nodiscard]] bool plausible(const Message& msg) const;
 
   sim::NodeId self_;

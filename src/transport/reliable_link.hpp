@@ -59,8 +59,8 @@ struct LinkHeader {
 // The header codec lives in wire.cpp, written with the frame codec's
 // little-endian primitives.
 
-/// Writes the 20-byte header into `out` (cleared first; capacity is
-/// recycled). The caller appends the payload.
+/// Writes the 20-byte header into `out` (resized to exactly the header;
+/// capacity is recycled). The caller appends the payload.
 void encode_link_header(const LinkHeader& header,
                         std::vector<std::uint8_t>& out);
 /// Parses a header; false on short input, bad magic, version or op.

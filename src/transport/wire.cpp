@@ -1,5 +1,7 @@
 #include "transport/wire.hpp"
 
+#include <bit>
+#include <cassert>
 #include <cstring>
 
 #include "transport/reliable_link.hpp"
@@ -7,29 +9,69 @@
 namespace reconfnet::transport {
 namespace {
 
-// --- primitive little-endian writers/readers --------------------------------
+// --- primitive little-endian stores and loads --------------------------------
 
+/// `v` with its bytes in little-endian order: a no-op on little-endian hosts,
+/// a byte swap on big-endian ones.
+template <typename T>
+T little_endian(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    T out = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out = static_cast<T>((out << 8) | (v & 0xFF));
+      v = static_cast<T>(v >> 8);
+    }
+    return out;
+  }
+  return v;
+}
+
+/// Fixed-width stores into a buffer the caller sized exactly: each field is
+/// one memcpy, with no bounds check and no growth.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::uint8_t* out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u8(std::uint8_t v) { *out_++ = v; }
+  void u16(std::uint16_t v) { store(v); }
+  void u32(std::uint32_t v) { store(v); }
+  void u64(std::uint64_t v) { store(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  /// `count` consecutive u64 fields.
+  void u64s(const std::uint64_t* values, std::size_t count) {
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count != 0) std::memcpy(out_, values, count * 8);
+      out_ += count * 8;
+    } else {
+      for (std::size_t i = 0; i < count; ++i) u64(values[i]);
+    }
+  }
+
+  [[nodiscard]] const std::uint8_t* position() const { return out_; }
 
  private:
-  std::vector<std::uint8_t>& out_;
+  template <typename T>
+  void store(T v) {
+    v = little_endian(v);
+    std::memcpy(out_, &v, sizeof v);
+    out_ += sizeof v;
+  }
+
+  std::uint8_t* out_;
 };
 
+/// Unchecked load of one field at `p`, which moves past it.
+template <typename T>
+T load(const std::uint8_t*& p) {
+  T v = 0;
+  std::memcpy(&v, p, sizeof v);
+  p += sizeof v;
+  return little_endian(v);
+}
+
+/// Bounds-checked fixed-width loads: a read past the end yields 0 and
+/// latches !ok().
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -37,43 +79,40 @@ class Reader {
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
-  std::uint8_t u8() { return take(1) ? bytes_[pos_ - 1] : 0; }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    std::uint16_t v = 0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(
-          v | (static_cast<std::uint32_t>(bytes_[pos_ - 2 + i]) << (8 * i)));
-    }
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ - 4 + i]) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ - 8 + i]) << (8 * i);
-    }
-    return v;
-  }
+  std::uint8_t u8() { return next<std::uint8_t>(); }
+  std::uint16_t u16() { return next<std::uint16_t>(); }
+  std::uint32_t u32() { return next<std::uint32_t>(); }
+  std::uint64_t u64() { return next<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
- private:
-  bool take(std::size_t count) {
-    if (!ok_ || bytes_.size() - pos_ < count) {
+  /// The next `count` bytes, or nullptr when fewer remain: one bounds check
+  /// for a fixed-size run of fields, read with load().
+  const std::uint8_t* fixed(std::size_t count) {
+    if (!ok_ || remaining() < count) {
       ok_ = false;
-      return false;
+      return nullptr;
     }
     pos_ += count;
+    return bytes_.data() + pos_ - count;
+  }
+  /// Reads `count` consecutive u64 fields into `out`.
+  bool u64s(std::uint64_t* out, std::size_t count) {
+    if (count > remaining() / 8) ok_ = false;
+    const std::uint8_t* from = ok_ ? fixed(count * 8) : nullptr;
+    if (from == nullptr) return false;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count != 0) std::memcpy(out, from, count * 8);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) out[i] = load<std::uint64_t>(from);
+    }
     return true;
+  }
+
+ private:
+  template <typename T>
+  T next() {
+    const std::uint8_t* p = fixed(sizeof(T));
+    return p == nullptr ? T{0} : load<T>(p);
   }
 
   std::span<const std::uint8_t> bytes_;
@@ -94,7 +133,7 @@ void write_state(Writer& w, const SamplerState& state) {
   w.u8(static_cast<std::uint8_t>(state.blocks.size()));
   for (const auto& block : state.blocks) {
     w.u32(static_cast<std::uint32_t>(block.size()));
-    for (const std::uint64_t v : block) w.u64(v);
+    w.u64s(block.data(), block.size());
   }
 }
 
@@ -108,9 +147,8 @@ bool read_state(Reader& r, SamplerState& state) {
   for (auto& block : state.blocks) {
     const std::size_t count = r.u32();
     if (!r.ok() || count > r.remaining() / 8) return false;
-    block.clear();
-    block.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) block.push_back(r.u64());
+    block.resize(count);
+    r.u64s(block.data(), count);
   }
   return r.ok();
 }
@@ -129,31 +167,31 @@ void write_super(Writer& w, const SuperMsg& super) {
 }
 
 bool read_super(Reader& r, SuperMsg& super) {
-  super.src = r.u64();
-  super.dest = r.u64();
-  super.seq = r.i32();
-  super.index = r.u32();
-  super.is_request = r.u8() != 0;
-  super.req_requester = r.u64();
-  super.req_j = r.i32();
-  super.resp_vertex = r.u64();
-  super.resp_j = r.i32();
-  super.resp_ok = r.u8() != 0;
-  return r.ok();
+  const std::uint8_t* p = r.fixed(kSuperMsgBytes);
+  if (p == nullptr) return false;
+  super.src = load<std::uint64_t>(p);
+  super.dest = load<std::uint64_t>(p);
+  super.seq = static_cast<std::int32_t>(load<std::uint32_t>(p));
+  super.index = load<std::uint32_t>(p);
+  super.is_request = load<std::uint8_t>(p) != 0;
+  super.req_requester = load<std::uint64_t>(p);
+  super.req_j = static_cast<std::int32_t>(load<std::uint32_t>(p));
+  super.resp_vertex = load<std::uint64_t>(p);
+  super.resp_j = static_cast<std::int32_t>(load<std::uint32_t>(p));
+  super.resp_ok = load<std::uint8_t>(p) != 0;
+  return true;
 }
 
 void write_ids(Writer& w, const std::vector<sim::NodeId>& ids) {
   w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const sim::NodeId id : ids) w.u64(id);
+  w.u64s(ids.data(), ids.size());
 }
 
 bool read_ids(Reader& r, std::vector<sim::NodeId>& ids) {
   const std::size_t count = r.u32();
   if (!r.ok() || count > r.remaining() / 8) return false;
-  ids.clear();
-  ids.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) ids.push_back(r.u64());
-  return r.ok();
+  ids.resize(count);
+  return r.u64s(ids.data(), count);
 }
 
 std::size_t body_bytes(const Message& msg) {
@@ -216,16 +254,19 @@ std::size_t encoded_bytes(const Message& msg) {
 }
 
 void encode(const Message& msg, std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(encoded_bytes(msg));
-  Writer w(out);
+  out.resize(encoded_bytes(msg));
+  encode_into(msg, out);
+}
+
+void encode_into(const Message& msg, std::span<std::uint8_t> out) {
+  Writer w(out.data());
   w.u16(kWireMagic);
   w.u8(kWireVersion);
   w.u8(static_cast<std::uint8_t>(msg.kind));
   w.i64(msg.round);
   w.i64(msg.epoch);
   w.i32(msg.attempt);
-  w.u32(static_cast<std::uint32_t>(body_bytes(msg)));
+  w.u32(static_cast<std::uint32_t>(out.size() - kFrameHeaderBytes));
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
       w.i64(msg.epoch_start);
@@ -273,21 +314,24 @@ void encode(const Message& msg, std::vector<std::uint8_t>& out) {
       w.u64(msg.origin);
       break;
   }
+  assert(w.position() == out.data() + out.size());
 }
 
 bool decode(std::span<const std::uint8_t> bytes, Message& msg) {
   msg.clear();
   Reader r(bytes);
-  if (r.u16() != kWireMagic) return false;
-  if (r.u8() != kWireVersion) return false;
-  const std::uint8_t kind = r.u8();
+  const std::uint8_t* header = r.fixed(kFrameHeaderBytes);
+  if (header == nullptr) return false;
+  if (load<std::uint16_t>(header) != kWireMagic) return false;
+  if (load<std::uint8_t>(header) != kWireVersion) return false;
+  const std::uint8_t kind = load<std::uint8_t>(header);
   if (kind > static_cast<std::uint8_t>(MsgKind::kLookupReply)) return false;
   msg.kind = static_cast<MsgKind>(kind);
-  msg.round = r.i64();
-  msg.epoch = r.i64();
-  msg.attempt = r.i32();
-  const std::size_t body = r.u32();
-  if (!r.ok() || body != r.remaining()) return false;
+  msg.round = static_cast<sim::Round>(load<std::uint64_t>(header));
+  msg.epoch = static_cast<std::int64_t>(load<std::uint64_t>(header));
+  msg.attempt = static_cast<std::int32_t>(load<std::uint32_t>(header));
+  const std::size_t body = load<std::uint32_t>(header);
+  if (body != r.remaining()) return false;
   switch (msg.kind) {
     case MsgKind::kHeartbeat:
       msg.epoch_start = r.i64();
@@ -350,8 +394,8 @@ bool decode(std::span<const std::uint8_t> bytes, Message& msg) {
 
 void encode_link_header(const LinkHeader& header,
                         std::vector<std::uint8_t>& out) {
-  out.clear();
-  Writer w(out);
+  out.resize(kLinkHeaderBytes);
+  Writer w(out.data());
   w.u16(kLinkMagic);
   w.u8(kLinkVersion);
   w.u8(static_cast<std::uint8_t>(header.op));

@@ -54,6 +54,8 @@ enum class MsgKind : std::uint8_t {
 struct SamplerState {
   std::int32_t seq = 0;
   std::vector<std::vector<std::uint64_t>> blocks;
+
+  bool operator==(const SamplerState&) const = default;
 };
 
 /// Mirror of dos/node_sim.cpp's supernode-level sampler message.
@@ -68,12 +70,16 @@ struct SuperMsg {
   std::uint64_t resp_vertex = 0;
   std::int32_t resp_j = 0;
   bool resp_ok = false;
+
+  bool operator==(const SuperMsg&) const = default;
 };
 
 /// One (supernode, members) entry of the all-gathered new group table.
 struct TableEntry {
   std::uint64_t supernode = 0;
   std::vector<sim::NodeId> members;
+
+  bool operator==(const TableEntry&) const = default;
 };
 
 /// Every protocol frame. `kind` selects which fields are meaningful (and
@@ -97,15 +103,20 @@ struct Message {
   sim::NodeId origin = sim::kNoNode;      ///< lookup / reply
 
   void clear();
+  bool operator==(const Message&) const = default;
 };
 
 /// Exact serialized size of `msg` in bytes (header included) without
 /// encoding. Used for communication-work accounting on both transports.
 [[nodiscard]] std::size_t encoded_bytes(const Message& msg);
 
-/// Serializes `msg` into `out` (cleared first; capacity is recycled, so the
-/// steady-state path allocates nothing once warm).
+/// Serializes `msg` into `out` (resized to encoded_bytes(msg); capacity is
+/// recycled, so the steady-state path allocates nothing once warm).
 void encode(const Message& msg, std::vector<std::uint8_t>& out);
+
+/// Serializes `msg` into `out`, which must be exactly encoded_bytes(msg)
+/// long: the in-process hub encodes straight into its frame arena.
+void encode_into(const Message& msg, std::span<std::uint8_t> out);
 
 /// Parses one frame into `msg` (cleared first; nested vectors recycle their
 /// capacity). Returns false on any malformed input — short buffer, bad

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sim/types.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/rng.hpp"
+#include "transport/inproc.hpp"
 #include "transport/udp.hpp"
 #include "transport/wire.hpp"
 #include "workload/adapters.hpp"
@@ -219,6 +221,66 @@ TEST(AllocBudget, TransportHeartbeatReceivePathIsAllocationFree) {
       << " times (" << used.bytes << " bytes) over " << packets << " packets";
   EXPECT_EQ(udp.counters().heartbeats_received, warmup + packets);
   EXPECT_EQ(udp.counters().decode_failures, 0u);
+}
+
+// --- in-process hub steady state --------------------------------------------
+
+/// The in-process frame path (inproc-hub-* and inproc-endpoint hotpaths):
+/// every node polls its inbox and sends kSuper frames to the next nodes on
+/// the ring. Once the frame arenas, the bus buffers and the inbox have grown
+/// to the round's size, a frame — encoded into the arena, stepped, decoded
+/// in poll — allocates nothing. The work meter's history gains one entry per
+/// round, so the budget is per frame over the whole window.
+TEST(AllocBudget, InprocHubSteadySuperRoundsAreAllocationFree) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  const std::uint64_t nodes = budget_value("transport.inproc_round", "nodes");
+  const std::uint64_t frames =
+      budget_value("transport.inproc_round", "frames_per_node");
+  const std::uint64_t warmup =
+      budget_value("transport.inproc_round", "warmup_rounds");
+  const std::uint64_t rounds = budget_value("transport.inproc_round", "rounds");
+  const std::uint64_t budget =
+      budget_value("transport.inproc_round", "allocs_per_frame");
+  ASSERT_GT(nodes, frames);
+
+  transport::InprocHub hub({}, 0);
+  std::vector<std::unique_ptr<transport::InprocTransport>> endpoints;
+  for (std::uint64_t v = 0; v < nodes; ++v) {
+    endpoints.push_back(std::make_unique<transport::InprocTransport>(
+        &hub, static_cast<sim::NodeId>(v)));
+  }
+  transport::Message msg;
+  msg.kind = transport::MsgKind::kSuper;
+  msg.super.is_request = true;
+  std::vector<sim::Envelope<transport::Message>> inbox;
+  std::uint64_t received = 0;
+  auto drive_round = [&](std::uint64_t round) {
+    msg.round = static_cast<sim::Round>(round);
+    for (std::uint64_t v = 0; v < nodes; ++v) {
+      inbox.clear();
+      endpoints[v]->poll(inbox);
+      received += inbox.size();
+      for (std::uint64_t f = 0; f < frames; ++f) {
+        msg.super.index = static_cast<std::uint32_t>(f);
+        endpoints[v]->send(static_cast<sim::NodeId>((v + 1 + f) % nodes), msg);
+      }
+    }
+    hub.step();
+  };
+
+  for (std::uint64_t r = 0; r < warmup; ++r) drive_round(r);
+
+  support::AllocCounter scope;
+  for (std::uint64_t r = 0; r < rounds; ++r) drive_round(warmup + r);
+  const support::AllocTotals used = scope.delta();
+  const std::uint64_t sent = rounds * nodes * frames;
+  std::cout << "[ measured ] transport.inproc_round: " << used.allocations
+            << " allocations over " << sent << " frames (budget " << budget
+            << "/frame)\n";
+  EXPECT_LE(used.allocations / sent, budget)
+      << "warm in-process rounds allocated " << used.allocations
+      << " times (" << used.bytes << " bytes) over " << sent << " frames";
+  EXPECT_EQ(received, (warmup + rounds - 1) * nodes * frames);
 }
 
 // --- workload steady state --------------------------------------------------
