@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
           config.seed = trial.derive_seed();
           dos::DosOverlay overlay(config);
           adversary::RandomDos adversary(trial.rng.split(1));
-          dos::DosOverlay::Attack attack;
+          dos::Attack attack;
           attack.adversary = &adversary;
           attack.lateness = 1000;  // fully blind: pure Lemma 17 regime
           attack.blocked_fraction = 0.35;

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
           adversary::UniformChurn churn(scenario.turnover, scenario.growth,
                                         4.0, trial.rng.split(1));
           adversary::IsolationDos dos_adversary(trial.rng.split(2));
-          combined::CombinedOverlay::Attack attack;
+          dos::Attack attack;
           attack.adversary = &dos_adversary;
           attack.blocked_fraction = 0.3;
           attack.lateness = 60;

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
           dos::DosOverlay overlay(make_config(trial.derive_seed()));
           auto adversary =
               make_adversary(cell.strategy, trial.rng.split(1));
-          dos::DosOverlay::Attack attack;
+          dos::Attack attack;
           attack.adversary = adversary.get();
           attack.lateness = cell.lateness;
           attack.blocked_fraction = kBlockedFraction;
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
         [&](const Cell& cell, runtime::TrialContext& trial) {
           dos::DosOverlay overlay(make_config(trial.derive_seed()));
           adversary::IsolationDos adversary(trial.rng.split(1));
-          dos::DosOverlay::Attack attack;
+          dos::Attack attack;
           attack.adversary = &adversary;
           attack.lateness = cell.lateness;
           attack.blocked_fraction = kBlockedFraction;

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
           dos::DosOverlay overlay(make_config(trial.derive_seed()));
           adversary::AdaptiveDos adaptive(trial.rng.split(1));
           adversary::RandomDos random(trial.rng.split(2));
-          dos::DosOverlay::Attack attack;
+          dos::Attack attack;
           attack.adversary = cell.strategy == "adaptive"
                                  ? static_cast<adversary::DosAdversary*>(
                                        &adaptive)
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
           dos::DosOverlay overlay(make_config(trial.derive_seed()));
           adversary::AdaptiveDos adaptive(trial.rng.split(1));
           adversary::RandomDos random(trial.rng.split(2));
-          dos::DosOverlay::Attack attack;
+          dos::Attack attack;
           attack.adversary = cell.strategy == "adaptive"
                                  ? static_cast<adversary::DosAdversary*>(
                                        &adaptive)

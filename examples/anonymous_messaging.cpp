@@ -35,7 +35,7 @@ int main() {
   // view is two reconfiguration epochs old.
   support::Rng attacker_rng(13);
   adversary::IsolationDos attacker(attacker_rng);
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &attacker;
   attack.blocked_fraction = 0.35;
   attack.lateness = 40;

@@ -5,7 +5,6 @@
 
 #include "dos/group_epoch.hpp"
 #include "graph/connectivity.hpp"
-#include "sim/stale_view.hpp"
 
 namespace reconfnet::apps {
 
@@ -53,24 +52,21 @@ bool KaryGroupedOverlay::group_available(
                            ? blocked_per_round[round - 1]
                            : kNone;
   const auto& members = table_.group(x);
-  return std::any_of(members.begin(), members.end(),
-                     [&](sim::NodeId node) {
-                       return !now.contains(node) && !before.contains(node);
-                     });
+  return std::any_of(members.begin(), members.end(), [&](sim::NodeId node) {
+    return dos::available(node, now, before);
+  });
 }
 
 void KaryGroupedOverlay::push_snapshot() {
-  sim::TopologySnapshot snap;
-  snap.round = round_;
-  snap.nodes = table_.all_nodes();
-  if (config_.snapshot_edges) snap.edges = overlay_edges();
-  snapshots_.push(std::move(snap));
+  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
+  if (config_.snapshot_edges) edges = overlay_edges();
+  rounds_.push_snapshot(table_.all_nodes(), std::move(edges));
 }
 
 bool KaryGroupedOverlay::message_lost(std::uint64_t from, std::uint64_t to) {
   fate_.clear();
   fault_hook_->on_message(static_cast<sim::NodeId>(from),
-                          static_cast<sim::NodeId>(to), round_, fate_);
+                          static_cast<sim::NodeId>(to), round(), fate_);
   if (fate_.empty()) return true;
   for (const sim::Round delay : fate_) {
     if (delay == 0) return false;
@@ -79,53 +75,31 @@ bool KaryGroupedOverlay::message_lost(std::uint64_t from, std::uint64_t to) {
   return true;
 }
 
-void KaryGroupedOverlay::advance_round(const Attack& attack,
+void KaryGroupedOverlay::advance_round(const dos::Attack& attack,
                                        EpochReport& report) {
-  sim::BlockedSet blocked;
-  if (attack.adversary != nullptr) {
-    const auto budget = static_cast<std::size_t>(
-        attack.blocked_fraction * static_cast<double>(config_.size));
-    snapshots_.ensure_lateness_horizon(attack.lateness);
-    const sim::StaleSnapshotView stale =
-        sim::serve_stale(snapshots_, round_, attack.lateness);
-    const auto universe = table_.all_nodes();
-    blocked = attack.adversary->choose(stale, universe, budget, round_);
-  }
-  for (const auto& members : table_.groups()) {
-    std::size_t available = 0;
-    for (sim::NodeId node : members) {
-      if (!blocked.contains(node) && !blocked_prev_.contains(node)) {
-        ++available;
-      }
-    }
-    if (available == 0) ++report.silenced_group_rounds;
-    report.min_available_fraction =
-        std::min(report.min_available_fraction,
-                 static_cast<double>(available) /
-                     static_cast<double>(members.size()));
-  }
+  const auto nodes = table_.all_nodes();
+  const sim::BlockedSet& blocked = rounds_.block(attack, nodes);
+  rounds_.tally(table_.groups(), report);
   // A fully unblocked overlay is trivially connected (every group is
   // non-empty and the hypercube is connected), so skip materializing the
   // quadratic edge list — the dominant cost at n = 10^5 — in quiet rounds.
   if (!blocked.empty() &&
-      !graph::is_connected_excluding(table_.all_nodes(), overlay_edges(),
-                                     blocked)) {
+      !graph::is_connected_excluding(nodes, overlay_edges(), blocked)) {
     ++report.disconnected_rounds;
   }
-  blocked_prev_ = std::move(blocked);
-  if (fault_hook_ != nullptr) fault_hook_->on_step(round_);
-  ++round_;
+  if (fault_hook_ != nullptr) fault_hook_->on_step(round());
+  rounds_.end_round();
   ++report.rounds;
 }
 
 KaryGroupedOverlay::EpochReport KaryGroupedOverlay::run_epoch(
-    const Attack& attack) {
+    const dos::Attack& attack) {
   EpochReport report;
   const auto schedule = sampling::group_schedule(
       sampling::SizeEstimate::from_true_size(config_.size,
                                              config_.size_estimate_slack),
       table_.dimension(), table_.max_group_size(), config_.sampling);
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 11);
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round()) + 11);
   // Request and response legs of the sampler exchange are ordinary wire
   // traffic to the fault layer; a lost leg starves the requester (and may
   // fail the epoch through the dry-sampler check below).

@@ -13,13 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "adversary/dos.hpp"
+#include "dos/attack.hpp"
 #include "dos/group_table.hpp"
 #include "graph/kary_hypercube.hpp"
 #include "sampling/schedule.hpp"
 #include "sim/blocked.hpp"
 #include "sim/bus.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -39,12 +38,6 @@ class KaryGroupedOverlay {
     /// stale-view adversaries read it, so large-scale workload runs without
     /// an epoch adversary turn it off.
     bool snapshot_edges = true;
-  };
-
-  struct Attack {
-    adversary::DosAdversary* adversary = nullptr;
-    int lateness = 0;
-    double blocked_fraction = 0.0;
   };
 
   struct EpochReport {
@@ -71,11 +64,11 @@ class KaryGroupedOverlay {
 
   /// One reconfiguration epoch (group-level Algorithm 2 simulation plus the
   /// four-round reorganization), under the given attack.
-  EpochReport run_epoch(const Attack& attack);
+  EpochReport run_epoch(const dos::Attack& attack);
 
   [[nodiscard]] const graph::KaryHypercube& cube() const { return cube_; }
   [[nodiscard]] std::size_t size() const { return config_.size; }
-  [[nodiscard]] sim::Round round() const { return round_; }
+  [[nodiscard]] sim::Round round() const { return rounds_.round(); }
 
   /// The groups, indexed by k-ary vertex; vertex x is binary supernode x of
   /// the d * log2(k)-dimensional table.
@@ -102,14 +95,12 @@ class KaryGroupedOverlay {
   support::Rng rng_;
   graph::KaryHypercube cube_;
   dos::GroupTable table_;
-  sim::SnapshotBuffer snapshots_;
-  sim::BlockedSet blocked_prev_;
-  sim::Round round_ = 0;
+  dos::AttackRounds rounds_;
   sim::DeliveryHook* fault_hook_ = nullptr;
   std::vector<sim::Round> fate_;  ///< fault-hook scratch
 
   void push_snapshot();
-  void advance_round(const Attack& attack, EpochReport& report);
+  void advance_round(const dos::Attack& attack, EpochReport& report);
   /// Offers one sampler-exchange message to the fault hook; true = lost
   /// (dropped outright or delayed past the exchange window).
   bool message_lost(std::uint64_t from, std::uint64_t to);

@@ -145,7 +145,7 @@ RobustStore::BatchReport RobustStore::execute(
 }
 
 KaryGroupedOverlay::EpochReport RobustStore::reconfigure(
-    const KaryGroupedOverlay::Attack& attack) {
+    const dos::Attack& attack) {
   // Shards are keyed by supernode and replicated across the (changing) home
   // group, so a successful epoch hands every record to the new group along
   // with the reorganization messages; a failed epoch keeps the old groups

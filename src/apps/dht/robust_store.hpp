@@ -79,7 +79,7 @@ class RobustStore {
   /// replicated per group, so they survive exactly when the epoch succeeds
   /// (no group silenced).
   KaryGroupedOverlay::EpochReport reconfigure(
-      const KaryGroupedOverlay::Attack& attack);
+      const dos::Attack& attack);
 
   /// Test/bench helper: direct lookup bypassing routing and blocking.
   [[nodiscard]] std::optional<Value> peek(Key key) const;

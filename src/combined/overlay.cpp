@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 #include <stdexcept>
 
 #include "audit/audit.hpp"
@@ -12,11 +13,6 @@
 #include "support/sorted.hpp"
 
 namespace reconfnet::combined {
-namespace {
-
-constexpr std::uint64_t kIdBits = 64;
-
-}  // namespace
 
 int CombinedOverlay::initial_dimension(std::size_t n, double group_c) {
   // Lemma 18: the unique d with 2^d * 2cd < n <= 2^{d+1} * 2c(d+1).
@@ -51,15 +47,7 @@ CombinedOverlay::CombinedOverlay(const Config& config)
       super_(bootstrap(config, rng_, ids_)) {
   for (sim::NodeId id : super_.all_nodes()) ever_members_.insert(id);
   edges_ = super_.overlay_edges();
-  push_snapshot();
-}
-
-void CombinedOverlay::push_snapshot() {
-  sim::TopologySnapshot snap;
-  snap.round = round_;
-  snap.nodes = super_.all_nodes();
-  snap.edges = edges_;
-  snapshots_.push(std::move(snap));
+  rounds_.push_snapshot(super_.all_nodes(), edges_);
 }
 
 void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
@@ -69,7 +57,7 @@ void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
                                      staged_leaves_.end());
   departing.insert(departing.end(), epoch_departing_.begin(),
                    epoch_departing_.end());
-  adversary::ChurnView view{round_, members, departing};
+  adversary::ChurnView view{round(), members, departing};
   const auto batch = churn.next(view, ids_);
   for (const auto& [fresh, sponsor] : batch.joins) {
     if (!member_set.contains(sponsor) || staged_leaves_.contains(sponsor)) {
@@ -103,65 +91,32 @@ void CombinedOverlay::crash(sim::NodeId node) {
 }
 
 void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
-                                    const Attack& attack,
+                                    const dos::Attack& attack,
                                     std::uint64_t state_bits,
                                     EpochReport& report) {
-  const std::size_t n = super_.node_count();
-  sim::BlockedSet blocked;
-  if (attack.adversary != nullptr) {
-    const auto budget = static_cast<std::size_t>(
-        attack.blocked_fraction * static_cast<double>(n));
-    snapshots_.ensure_lateness_horizon(attack.lateness);
-    const sim::StaleSnapshotView stale =
-        sim::serve_stale(snapshots_, round_, attack.lateness);
-    const auto universe = super_.all_nodes();
-    blocked = attack.adversary->choose(stale, universe, budget, round_);
-    // Round-boundary audit: the r-bounded adversary must respect its budget
-    // and may only block ids that ever existed — a t-late adversary working
-    // from a stale snapshot legitimately wastes budget on nodes that have
-    // since churned out (Section 1.1; ids are never reused).
-    if (audit::enabled()) {
-      audit::enforce(
-          audit::check_blocked_budget(blocked, budget, ever_members_));
-    }
-  }
+  const auto nodes = super_.all_nodes();
+  sim::BlockedSet& blocked = rounds_.block(attack, nodes, &ever_members_);
   // Crashed members are silent forever, on top of any adversary budget.
   // reconfnet-lint: allow(RNL005) set union into a BlockedSet; the result's
   // contents do not depend on the iteration order
   for (sim::NodeId node : crashed_) blocked.insert(node);
 
-  std::uint64_t max_bits = 0;
-  for (const auto& [key, entry] : super_.groups()) {
-    const auto& members = entry.second;
-    std::size_t available = 0;
-    for (sim::NodeId node : members) {
-      if (!blocked.contains(node) && !blocked_prev_.contains(node)) {
-        ++available;
-      }
-    }
-    if (available == 0) ++report.silenced_group_rounds;
-    report.min_available_fraction = std::min(
-        report.min_available_fraction,
-        static_cast<double>(available) / static_cast<double>(members.size()));
-    const std::uint64_t per_node_bits =
-        (static_cast<std::uint64_t>(members.size()) + available) * state_bits;
-    max_bits = std::max(max_bits, per_node_bits);
-  }
+  const std::uint64_t max_load = rounds_.tally(
+      super_.groups() | std::views::values | std::views::elements<1>, report);
   report.max_node_bits_per_round =
-      std::max(report.max_node_bits_per_round, max_bits);
+      std::max(report.max_node_bits_per_round, max_load * state_bits);
 
-  if (!graph::is_connected_excluding(super_.all_nodes(), edges_, blocked)) {
+  if (!graph::is_connected_excluding(nodes, edges_, blocked)) {
     ++report.disconnected_rounds;
   }
 
   poll_churn(churn);
-  blocked_prev_ = std::move(blocked);
-  ++round_;
+  rounds_.end_round();
   ++report.rounds;
 }
 
 CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
-    adversary::ChurnAdversary& churn, const Attack& attack) {
+    adversary::ChurnAdversary& churn, const dos::Attack& attack) {
   EpochReport report;
 
   // Snapshot the staged churn for this epoch.
@@ -241,18 +196,11 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   const double avg_group =
       static_cast<double>(super_.node_count()) /
       static_cast<double>(super_.supernode_count());
-  auto state_bits = [&](const auto& cores) -> std::uint64_t {
-    std::size_t entries = 0;
-    for (int j = 1; j <= cube_dim; ++j) entries += cores[0].block(j).size();
-    const double per_entry = static_cast<double>(cube_dim) +
-                             avg_group * static_cast<double>(kIdBits);
-    return 16 +
-           static_cast<std::uint64_t>(static_cast<double>(entries) *
-                                      per_entry) +
-           static_cast<std::uint64_t>(avg_group) * kIdBits;
+  auto state_bits = [&](const auto& cores) {
+    return dos::supernode_state_bits(cores[0], avg_group);
   };
 
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round_) + 5);
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round()) + 5);
   const auto sampled = dos::sample_supernodes(
       cube_dim, class_count, schedule, epoch_rng,
       [&](int /*iteration*/, bool /*synchronization*/, const auto& cores) {
@@ -342,7 +290,7 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   for (int r = 0; r < 2 * report.split_merge.sweeps; ++r) {
     advance_round(churn, attack, state_bits(cores), report);
   }
-  push_snapshot();
+  rounds_.push_snapshot(super_.all_nodes(), edges_);
 
   epoch_departing_.clear();
   // Delegate joins staged during this epoch whose sponsor just left.

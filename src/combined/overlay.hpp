@@ -19,10 +19,9 @@
 #include <vector>
 
 #include "adversary/churn.hpp"
-#include "adversary/dos.hpp"
 #include "combined/split_merge.hpp"
+#include "dos/attack.hpp"
 #include "sampling/schedule.hpp"
-#include "sim/blocked.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
@@ -38,12 +37,6 @@ class CombinedOverlay {
     sampling::SamplingConfig sampling{};
     int size_estimate_slack = 0;
     std::uint64_t seed = 1;
-  };
-
-  struct Attack {
-    adversary::DosAdversary* adversary = nullptr;
-    int lateness = 0;
-    double blocked_fraction = 0.0;
   };
 
   struct EpochReport {
@@ -72,7 +65,7 @@ class CombinedOverlay {
   /// Both adversaries act every round; churn staged during this epoch takes
   /// effect at the end of the next one.
   EpochReport run_epoch(adversary::ChurnAdversary& churn,
-                        const Attack& attack);
+                        const dos::Attack& attack);
 
   /// Crash-failure extension (Section 6's closing discussion): when crashes
   /// are distinguishable from DoS blocking, the crashed node's group
@@ -87,13 +80,13 @@ class CombinedOverlay {
   }
 
   [[nodiscard]] const SuperGroups& supernodes() const { return super_; }
-  /// Per-round topology snapshots (what a t-late adversary observes); also
-  /// the reproducibility witness compared by the determinism tests.
+  /// Topology snapshots back to the lateness horizon (what a t-late
+  /// adversary observes); the newest is the determinism tests' witness.
   [[nodiscard]] const sim::SnapshotBuffer& snapshots() const {
-    return snapshots_;
+    return rounds_.snapshots();
   }
   [[nodiscard]] std::size_t size() const { return super_.node_count(); }
-  [[nodiscard]] sim::Round round() const { return round_; }
+  [[nodiscard]] sim::Round round() const { return rounds_.round(); }
   [[nodiscard]] sim::IdAllocator& ids() { return ids_; }
   [[nodiscard]] std::vector<sim::NodeId> members() const {
     return super_.all_nodes();
@@ -109,9 +102,7 @@ class CombinedOverlay {
   sim::IdAllocator ids_;
   SuperGroups super_;
   std::vector<std::pair<sim::NodeId, sim::NodeId>> edges_;
-  sim::SnapshotBuffer snapshots_;
-  sim::BlockedSet blocked_prev_;
-  sim::Round round_ = 0;
+  dos::AttackRounds rounds_;
 
   std::unordered_map<sim::NodeId, std::vector<sim::NodeId>> staged_joins_;
   std::unordered_set<sim::NodeId> staged_leaves_;
@@ -122,9 +113,9 @@ class CombinedOverlay {
   static SuperGroups bootstrap(const Config& config, support::Rng& rng,
                                sim::IdAllocator& ids);
 
-  void push_snapshot();
-  void advance_round(adversary::ChurnAdversary& churn, const Attack& attack,
-                     std::uint64_t state_bits, EpochReport& report);
+  void advance_round(adversary::ChurnAdversary& churn,
+                     const dos::Attack& attack, std::uint64_t state_bits,
+                     EpochReport& report);
   void poll_churn(adversary::ChurnAdversary& churn);
 };
 

@@ -12,14 +12,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "adversary/dos.hpp"
+#include "dos/attack.hpp"
 #include "dos/group_table.hpp"
 #include "sampling/schedule.hpp"
-#include "sim/blocked.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
@@ -36,14 +35,6 @@ class DosOverlay {
     sampling::SamplingConfig sampling{};
     int size_estimate_slack = 0;
     std::uint64_t seed = 1;
-  };
-
-  /// One attack scenario: strategy, enforced lateness (rounds), and the
-  /// blocked fraction r of an r-bounded adversary.
-  struct Attack {
-    adversary::DosAdversary* adversary = nullptr;  ///< nullptr: no attack
-    int lateness = 0;
-    double blocked_fraction = 0.0;
   };
 
   struct EpochReport {
@@ -76,29 +67,22 @@ class DosOverlay {
   EpochReport run_static(const Attack& attack, sim::Round rounds);
 
   [[nodiscard]] const GroupTable& groups() const { return groups_; }
-  /// Per-round topology snapshots (what a t-late adversary observes); also
-  /// the reproducibility witness compared by the determinism tests.
+  /// Topology snapshots back to the lateness horizon (what a t-late
+  /// adversary observes); the newest is the determinism tests' witness.
   [[nodiscard]] const sim::SnapshotBuffer& snapshots() const {
-    return snapshots_;
+    return rounds_.snapshots();
   }
   [[nodiscard]] int dimension() const { return groups_.dimension(); }
   [[nodiscard]] std::size_t size() const { return groups_.size(); }
-  [[nodiscard]] sim::Round round() const { return round_; }
+  [[nodiscard]] sim::Round round() const { return rounds_.round(); }
 
  private:
-  struct RoundStats {
-    sim::BlockedSet blocked;
-  };
-
   Config config_;
   support::Rng rng_;
   GroupTable groups_;
   std::vector<std::pair<sim::NodeId, sim::NodeId>> edges_;  // current topology
-  sim::SnapshotBuffer snapshots_;
-  sim::BlockedSet blocked_prev_;
-  sim::Round round_ = 0;
+  AttackRounds rounds_;
 
-  void push_snapshot();
   /// Advances one overlay round: adversary blocks, availability and
   /// connectivity are evaluated, and the per-node communication work of the
   /// ongoing state broadcast (state_bits per group member) is charged.

@@ -27,23 +27,16 @@ std::vector<std::uint8_t> serialize(const TopologySnapshot& snapshot) {
   return out;
 }
 
-SnapshotBuffer::SnapshotBuffer(std::size_t capacity) : capacity_(capacity) {}
-
 void SnapshotBuffer::ensure_lateness_horizon(Round lateness) {
   if (lateness > horizon_) horizon_ = lateness;
 }
 
 void SnapshotBuffer::push(TopologySnapshot snapshot) {
   buffer_.push_back(std::move(snapshot));
-  // Capacity-driven eviction, bounded by the lateness horizon: the front
-  // snapshot may only go if the snapshot behind it is still old enough to
-  // serve stale_view(newest - horizon) — i.e. the front is not the last
-  // snapshot at or before the horizon boundary. When capacity and horizon
-  // conflict, the horizon wins (the buffer grows past capacity) so a t-late
-  // adversary never silently degrades to a no-information one.
+  // The front may go once the snapshot behind it is old enough to serve
+  // stale_view(newest - horizon) itself.
   const Round boundary = buffer_.back().round - horizon_;
-  while (buffer_.size() > capacity_ && buffer_.size() > 1 &&
-         buffer_[1].round <= boundary) {
+  while (buffer_.size() > 1 && buffer_[1].round <= boundary) {
     buffer_.pop_front();
   }
 }

@@ -29,20 +29,19 @@ struct TopologySnapshot {
 [[nodiscard]] std::vector<std::uint8_t> serialize(
     const TopologySnapshot& snapshot);
 
-/// Ring buffer of per-round snapshots with bounded memory.
+/// The snapshots a t-late adversary can still be served, in round order.
 ///
-/// Retention policy (pinned in tools/oraclecheck/oracle.toml): eviction is
-/// capacity-driven but may never drop the freshest snapshot that is at least
-/// `lateness_horizon()` rounds older than the newest one — that snapshot is
-/// exactly what stale_view(now - t) serves a t-late adversary, and silently
-/// evicting it would turn a t-late adversary into a no-information one
-/// mid-run. When the horizon demands more history than `capacity` allows,
-/// the horizon wins and the buffer grows past capacity.
+/// Retention policy (pinned in tools/oraclecheck/oracle.toml): the buffer
+/// keeps snapshots only back to the lateness horizon. push() drops the front
+/// snapshot while the one behind it is at or before newest - horizon, so the
+/// front is always the freshest snapshot that stale_view(newest - t) serves
+/// a t-late adversary with t <= horizon, and with one push per round the
+/// buffer holds at most horizon + 1 snapshots. Without an attack the horizon
+/// is 0 and only the newest snapshot stays. An adversary whose lateness
+/// exceeds the horizon at the time of a push may later find no snapshot old
+/// enough and is served an empty view, never a fresher one.
 class SnapshotBuffer {
  public:
-  /// Keeps at most `capacity` snapshots, subject to the lateness horizon.
-  explicit SnapshotBuffer(std::size_t capacity = 256);
-
   void push(TopologySnapshot snapshot);
 
   /// The freshest snapshot taken at or before `round`, or nullptr if none is
@@ -56,7 +55,7 @@ class SnapshotBuffer {
   }
 
   /// Raises the lateness horizon to at least `lateness` rounds: from now on
-  /// eviction keeps whatever snapshot stale_view(newest - lateness) needs.
+  /// push() keeps whatever snapshot stale_view(newest - lateness) needs.
   /// Harnesses call this when an attack's lateness is configured; the horizon
   /// only ever grows (the strongest adversary seen pins the history).
   void ensure_lateness_horizon(Round lateness);
@@ -66,7 +65,6 @@ class SnapshotBuffer {
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
  private:
-  std::size_t capacity_;
   Round horizon_ = 0;
   std::deque<TopologySnapshot> buffer_;  // ascending round order
 };

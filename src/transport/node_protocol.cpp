@@ -188,9 +188,7 @@ void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
   msg.supernode = supernode_;
   msg.state = freeze(next);
   msg.outbox = std::move(outbox);
-  for (const sim::NodeId member : table_.group(supernode_)) {
-    emit(out, member, msg);
-  }
+  emit(out, table_.group(supernode_), std::move(msg));
 }
 
 void NodeProtocol::sampler_sync_round(Outbox& out) {
@@ -222,17 +220,13 @@ void NodeProtocol::sampler_sync_round(Outbox& out) {
     Message msg;
     msg.kind = MsgKind::kSuper;
     msg.super = super;
-    for (const sim::NodeId target : table_.group(super.dest)) {
-      emit(out, target, msg);
-    }
+    emit(out, table_.group(super.dest), std::move(msg));
   }
   Message broadcast;
   broadcast.kind = MsgKind::kStateBroadcast;
   broadcast.supernode = supernode_;
   broadcast.state = winner->state;
-  for (const sim::NodeId member : table_.group(supernode_)) {
-    emit(out, member, broadcast);
-  }
+  emit(out, table_.group(supernode_), std::move(broadcast));
 }
 
 // --- reorganization (Lemma 15) ----------------------------------------------
@@ -250,9 +244,7 @@ void NodeProtocol::reorg_round_a(Outbox& out) {
     msg.kind = MsgKind::kAssign;
     msg.assigned = members[i];
     msg.supernode = samples[i];
-    for (const sim::NodeId target : table_.group(samples[i])) {
-      emit(out, target, msg);
-    }
+    emit(out, table_.group(samples[i]), std::move(msg));
   }
 }
 
@@ -271,10 +263,10 @@ void NodeProtocol::reorg_round_b(Outbox& out) {
   msg.kind = MsgKind::kNewGroup;
   msg.supernode = supernode_;
   msg.group = fresh_group_;
-  for (const sim::NodeId member : fresh_group_) emit(out, member, msg);
+  emit(out, fresh_group_, msg);
   for (int bit = 0; bit < table_.dimension(); ++bit) {
     const std::uint64_t y = supernode_ ^ (std::uint64_t{1} << bit);
-    for (const sim::NodeId member : table_.group(y)) emit(out, member, msg);
+    emit(out, table_.group(y), msg);
   }
 }
 
@@ -294,9 +286,7 @@ void NodeProtocol::reorg_round_c(Outbox& out) {
       forward.kind = MsgKind::kNeighborGroup;
       forward.supernode = msg.supernode;
       forward.group = msg.group;
-      for (const sim::NodeId member : fresh_group_) {
-        emit(out, member, forward);
-      }
+      emit(out, fresh_group_, std::move(forward));
     }
   }
 }
@@ -326,7 +316,7 @@ bool NodeProtocol::table_complete() const {
   }
   std::set<sim::NodeId> seen;
   for (const auto& [x, members] : gathered_) {
-    if (x >= table_.supernodes() || members.empty()) return false;
+    if (members.empty()) return false;
     for (const sim::NodeId id : members) {
       if (!seen.insert(id).second) return false;
     }
@@ -353,9 +343,7 @@ void NodeProtocol::allgather_round(int dim, Outbox& out) {
   }
   const std::uint64_t partner =
       supernode_ ^ (std::uint64_t{1} << static_cast<unsigned>(dim));
-  for (const sim::NodeId member : table_.group(partner)) {
-    emit(out, member, msg);
-  }
+  emit(out, table_.group(partner), std::move(msg));
 }
 
 void NodeProtocol::vote_round(Outbox& out) {
@@ -369,9 +357,7 @@ void NodeProtocol::vote_round(Outbox& out) {
   msg.kind = MsgKind::kCommitVote;
   msg.supernode = supernode_;
   msg.complete = vote_complete_;
-  for (const sim::NodeId member : table_.group(supernode_)) {
-    emit(out, member, msg);
-  }
+  emit(out, table_.group(supernode_), std::move(msg));
 }
 
 void NodeProtocol::commit_round(sim::Round round) {
@@ -461,28 +447,21 @@ void NodeProtocol::smoke_round(sim::Round round, Outbox& out) {
     msg.key = self_;
     msg.origin = self_;
     msg.supernode = home;
-    for (const sim::NodeId member : table_.group(next_hop(cur, home))) {
-      emit(out, member, msg);
-    }
+    emit(out, table_.group(next_hop(cur, home)), std::move(msg));
     return;
   }
   for (const auto* envelope : accepted_) {
     const Message& msg = envelope->payload;
     if (msg.kind == MsgKind::kLookup) {
-      if (msg.supernode >= table_.supernodes()) continue;
       if (!lookups_seen_.insert(msg.origin).second) continue;
       if (cur == msg.supernode) {
         Message reply;
         reply.kind = MsgKind::kLookupReply;
         reply.key = msg.key;
         reply.origin = msg.origin;
-        emit(out, msg.origin, reply);
+        emit(out, {&msg.origin, 1}, std::move(reply));
       } else {
-        Message forward = msg;
-        for (const sim::NodeId member :
-             table_.group(next_hop(cur, msg.supernode))) {
-          emit(out, member, forward);
-        }
+        emit(out, table_.group(next_hop(cur, msg.supernode)), msg);
       }
     } else if (msg.kind == MsgKind::kLookupReply && msg.origin == self_) {
       metrics_.lookup_ok = true;
@@ -571,13 +550,18 @@ std::pair<NodeProtocol::Snap, std::vector<SuperMsg>> NodeProtocol::advance(
 
 // --- framing helpers --------------------------------------------------------
 
-void NodeProtocol::emit(Outbox& out, sim::NodeId to, Message msg) {
+void NodeProtocol::emit(Outbox& out, std::span<const sim::NodeId> to,
+                        Message msg) {
+  if (to.empty()) return;
   msg.round = current_round_;
   msg.epoch = epoch_;
   msg.attempt = attempt_;
-  ++metrics_.frames_sent;
-  metrics_.bits_sent += 8ull * encoded_bytes(msg);
-  out.emplace_back(to, std::move(msg));
+  metrics_.frames_sent += to.size();
+  metrics_.bits_sent += 8ull * encoded_bytes(msg) * to.size();
+  for (const sim::NodeId dest : to.first(to.size() - 1)) {
+    out.emplace_back(dest, msg);
+  }
+  out.emplace_back(to.back(), std::move(msg));
 }
 
 bool NodeProtocol::current_tag(const Message& msg) const {
@@ -613,7 +597,20 @@ bool NodeProtocol::plausible(const Message& msg) const {
     case MsgKind::kAssign:
       // Round B adds `assigned` to the fresh group and sends it the group.
       return msg.supernode < supernodes && table_.contains(msg.assigned);
+    case MsgKind::kTableFrag:
+      // A committed table becomes the next epoch's groups: every entry must
+      // name a supernode and nodes of the current table.
+      return std::all_of(
+          msg.table.begin(), msg.table.end(), [&](const TableEntry& entry) {
+            return entry.supernode < supernodes &&
+                   std::all_of(entry.members.begin(), entry.members.end(),
+                               [&](sim::NodeId id) {
+                                 return table_.contains(id);
+                               });
+          });
     case MsgKind::kLookup:
+      // Lookups are forwarded toward the home supernode.
+      return msg.supernode < supernodes && table_.contains(msg.origin);
     case MsgKind::kLookupReply:
       // The home group replies to `origin`.
       return table_.contains(msg.origin);

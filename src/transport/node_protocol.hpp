@@ -144,7 +144,9 @@ class NodeProtocol {
   /// Merges one incoming table fragment, tracking conflicts.
   void merge_table(const std::vector<TableEntry>& fragment);
   /// True iff the gathered table is a complete, conflict-free partition of
-  /// the current node set into 2^d non-empty groups.
+  /// the current node set into 2^d non-empty groups. plausible() admits only
+  /// fragments of supernodes below 2^d and nodes of the current table, so
+  /// 2^d entries holding table_.size() distinct ids are exactly that.
   [[nodiscard]] bool table_complete() const;
 
   [[nodiscard]] Snap rebuild(const SamplerState& state,
@@ -154,16 +156,19 @@ class NodeProtocol {
   [[nodiscard]] std::pair<Snap, std::vector<SuperMsg>> advance(
       const Snap& prev, const std::vector<SuperMsg>& incoming);
 
-  /// Tags, meters and queues one protocol frame.
-  void emit(Outbox& out, sim::NodeId to, Message msg);
+  /// Tags and meters one protocol frame and queues a copy of it for each
+  /// destination in `to`, in order.
+  void emit(Outbox& out, std::span<const sim::NodeId> to, Message msg);
   /// True iff the frame belongs to the current (epoch, attempt).
   [[nodiscard]] bool current_tag(const Message& msg) const;
   /// True iff the fields the phase handlers index with or send to are in
   /// range: sampler states carry d blocks of supernode ids below 2^d and a
   /// seq in [0, P]; a successful sampler response names a block in [1, d]
   /// and a supernode below 2^d; an assignment names a supernode below 2^d
-  /// and a node of the current table, and a lookup or its reply an origin
-  /// of the current table. Frames arrive from outside on the live path.
+  /// and a node of the current table; every table-fragment entry names a
+  /// supernode below 2^d and only nodes of the current table; a lookup names
+  /// a home supernode below 2^d, and a lookup or its reply an origin of the
+  /// current table. Frames arrive from outside on the live path.
   [[nodiscard]] bool plausible(const Message& msg) const;
 
   sim::NodeId self_;

@@ -53,7 +53,7 @@ RoundPacer::Tick RoundPacer::tick(std::int64_t now_us, bool early_ok) {
   for (const Peer& peer : peers_) {
     if (!peer.evicted) max_heard = std::max(max_heard, peer.last_heard);
   }
-  if (max_heard > round_ + config_.resync_horizon) {
+  if (max_heard > round_ + kResyncHorizon) {
     ++counters_.resyncs;
     result.advance = true;
     result.resync = true;
@@ -94,7 +94,7 @@ RoundPacer::Tick RoundPacer::tick(std::int64_t now_us, bool early_ok) {
       continue;
     }
     ++peer.misses;
-    if (peer.misses >= config_.evict_after) {
+    if (peer.misses >= kEvictAfter) {
       peer.evicted = true;
       ++counters_.evictions;
     }
@@ -106,8 +106,8 @@ RoundPacer::Tick RoundPacer::tick(std::int64_t now_us, bool early_ok) {
 
 void RoundPacer::begin_round(sim::Round round, std::int64_t now_us) {
   round_ = round;
-  deadline_us_ = now_us + config_.round_budget_us +
-                 (round == 0 ? config_.startup_grace_us : 0);
+  deadline_us_ =
+      now_us + config_.round_budget_us + (round == 0 ? kStartupGraceUs : 0);
   // A peer that caught up clears its miss streak at the boundary (the
   // deadline path above only charges the ones more than a round behind).
   for (Peer& peer : peers_) {
@@ -118,7 +118,7 @@ void RoundPacer::begin_round(sim::Round round, std::int64_t now_us) {
 bool RoundPacer::suspected(sim::NodeId peer) const {
   const Peer* entry = find(peer);
   return entry != nullptr && !entry->evicted &&
-         entry->misses >= config_.suspect_after;
+         entry->misses >= kSuspectAfter;
 }
 
 bool RoundPacer::evicted(sim::NodeId peer) const {

@@ -2,12 +2,12 @@
 //
 // The simulator advances rounds in global lockstep; a live deployment cannot.
 // The RoundPacer gives each node bounded asynchrony instead: a round lasts at
-// most `round_budget_us`, but advances early once every tracked peer has been
-// heard at (or past) the current round. Peers that repeatedly miss the
-// deadline are suspected and then evicted (missed-ack/heartbeat liveness);
-// peers heard far *ahead* of us mean we are the straggler, and once they are
-// past the resync horizon the pacer orders a resync jump instead of grinding
-// forward one round at a time.
+// most `round_budget_us` (round 0 kStartupGraceUs longer), but advances early
+// once every tracked peer has been heard at (or past) the current round.
+// Peers that repeatedly miss the deadline are suspected and then evicted
+// (missed-ack/heartbeat liveness); peers heard far *ahead* of us mean we are
+// the straggler, and once they are past the resync horizon the pacer orders
+// a resync jump instead of grinding forward one round at a time.
 //
 // The pacer is a pure state machine over (frames heard, now_us): no sockets,
 // no wall clock — tests drive it with a FakeClock (satellite coverage in
@@ -24,11 +24,16 @@ namespace reconfnet::transport {
 
 struct PacerConfig {
   std::int64_t round_budget_us = 20'000;  ///< deadline per round
-  std::int64_t startup_grace_us = 2'000'000;  ///< extra budget for round 0
-  int resync_horizon = 8;   ///< rounds ahead that trigger a resync jump
-  int suspect_after = 3;    ///< consecutive missed deadlines -> suspect
-  int evict_after = 10;     ///< consecutive missed deadlines -> evict
 };
+
+/// Extra deadline budget for round 0, while a deployment's processes start.
+inline constexpr std::int64_t kStartupGraceUs = 2'000'000;
+/// A peer heard more than this many rounds ahead triggers a resync jump.
+inline constexpr int kResyncHorizon = 8;
+/// Consecutive missed deadlines after which a peer is suspected.
+inline constexpr int kSuspectAfter = 3;
+/// Consecutive missed deadlines after which a peer is evicted.
+inline constexpr int kEvictAfter = 10;
 
 class RoundPacer {
  public:

@@ -68,13 +68,7 @@ ServeOutcome DhtAdapter::serve(const Op& op, std::uint64_t entry_group,
 
 EpochOutcome DhtAdapter::run_epoch(support::Rng& rng) {
   (void)rng;  // the overlay's own rng drives the epoch
-  apps::KaryGroupedOverlay::Attack attack;
-  if (config_.epoch_blocked_fraction > 0.0) {
-    attack.adversary = &epoch_adversary_;
-    attack.lateness = config_.epoch_lateness;
-    attack.blocked_fraction = config_.epoch_blocked_fraction;
-  }
-  const auto report = store_.reconfigure(attack);
+  const auto report = store_.reconfigure(epoch_attack_);
   return EpochOutcome{report.success, report.rounds};
 }
 
@@ -144,13 +138,7 @@ ServeOutcome PubSubAdapter::serve(const Op& op, std::uint64_t entry_group,
 
 EpochOutcome PubSubAdapter::run_epoch(support::Rng& rng) {
   (void)rng;
-  apps::KaryGroupedOverlay::Attack attack;
-  if (config_.epoch_blocked_fraction > 0.0) {
-    attack.adversary = &epoch_adversary_;
-    attack.lateness = config_.epoch_lateness;
-    attack.blocked_fraction = config_.epoch_blocked_fraction;
-  }
-  const auto report = store_.reconfigure(attack);
+  const auto report = store_.reconfigure(epoch_attack_);
   return EpochOutcome{report.success, report.rounds};
 }
 
@@ -204,13 +192,7 @@ ServeOutcome AnonymAdapter::serve(const Op& op, std::uint64_t entry_group,
 
 EpochOutcome AnonymAdapter::run_epoch(support::Rng& rng) {
   (void)rng;
-  dos::DosOverlay::Attack attack;
-  if (config_.epoch_blocked_fraction > 0.0) {
-    attack.adversary = &epoch_adversary_;
-    attack.lateness = config_.epoch_lateness;
-    attack.blocked_fraction = config_.epoch_blocked_fraction;
-  }
-  const auto report = overlay_.run_epoch(attack);
+  const auto report = overlay_.run_epoch(epoch_attack_);
   return EpochOutcome{report.success, report.rounds};
 }
 

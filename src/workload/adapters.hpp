@@ -10,8 +10,9 @@
 //                   (Section 7.1) on the binary DoS overlay.
 //
 // Epoch attacks: each adapter owns a RandomDos adversary seeded from its
-// config; epoch_blocked_fraction > 0 turns it on for reconfiguration epochs
-// (the driver's blocked_fraction covers serving rounds separately).
+// config and builds its epoch attack once (epoch_attack below);
+// epoch_blocked_fraction > 0 turns it on for reconfiguration epochs (the
+// driver's blocked_fraction covers serving rounds separately).
 #pragma once
 
 #include <cstdint>
@@ -22,10 +23,20 @@
 #include "apps/dht/kary_overlay.hpp"
 #include "apps/dht/robust_store.hpp"
 #include "apps/pubsub/pubsub.hpp"
+#include "dos/attack.hpp"
 #include "dos/overlay.hpp"
 #include "workload/driver.hpp"
 
 namespace reconfnet::workload {
+
+/// An adapter's epoch attack: its adversary at the configured fraction and
+/// lateness, or no attack when the fraction is not positive.
+template <class Config>
+dos::Attack epoch_attack(const Config& config,
+                         adversary::DosAdversary* adversary) {
+  if (!(config.epoch_blocked_fraction > 0.0)) return {};
+  return {adversary, config.epoch_lateness, config.epoch_blocked_fraction};
+}
 
 struct DhtAdapterConfig {
   std::size_t size = 1024;
@@ -66,6 +77,7 @@ class DhtAdapter final : public AppAdapter {
   apps::KaryGroupedOverlay overlay_;
   apps::RobustStore store_;
   adversary::RandomDos epoch_adversary_;
+  dos::Attack epoch_attack_ = epoch_attack(config_, &epoch_adversary_);
 };
 
 struct PubSubAdapterConfig {
@@ -103,6 +115,7 @@ class PubSubAdapter final : public AppAdapter {
   apps::PubSub pubsub_;
   std::vector<std::uint64_t> cursors_;  ///< per-topic subscriber position
   adversary::RandomDos epoch_adversary_;
+  dos::Attack epoch_attack_ = epoch_attack(config_, &epoch_adversary_);
 };
 
 struct AnonymAdapterConfig {
@@ -135,6 +148,7 @@ class AnonymAdapter final : public AppAdapter {
   AnonymAdapterConfig config_;
   dos::DosOverlay overlay_;
   adversary::RandomDos epoch_adversary_;
+  dos::Attack epoch_attack_ = epoch_attack(config_, &epoch_adversary_);
 };
 
 }  // namespace reconfnet::workload

@@ -167,7 +167,7 @@ TEST(KaryGroupedOverlay, SurvivesLateIsolationAttack) {
   KaryGroupedOverlay overlay(config);
   support::Rng rng(5);
   adversary::IsolationDos adversary(rng);
-  KaryGroupedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &adversary;
   attack.blocked_fraction = 0.3;
   attack.lateness = 60;

@@ -12,6 +12,7 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/dos.hpp"
+#include "apps/dht/kary_overlay.hpp"
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
 #include "churn/overlay.hpp"
@@ -343,7 +344,7 @@ TEST(AuditHooks, DosOverlayHealthyEpochIsSilent) {
   dos::DosOverlay overlay(config);
   support::Rng rng(24);
   adversary::RandomDos adversary(rng.split(2));
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 64;
   attack.blocked_fraction = 0.35;
@@ -386,7 +387,7 @@ TEST(AuditHooks, OracleAuditSilentAcrossCombinedEpochsUnderAttack) {
   adversary::UniformChurn churn(0.02, 1.0, 2.0, churn_rng);
   support::Rng dos_rng(31);
   adversary::RandomDos dos(dos_rng);
-  combined::CombinedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &dos;
   attack.blocked_fraction = 0.2;
   attack.lateness = 12;
@@ -396,6 +397,40 @@ TEST(AuditHooks, OracleAuditSilentAcrossCombinedEpochsUnderAttack) {
   }
   EXPECT_GT(audit::stats().checks_run, 0u);
   EXPECT_EQ(audit::stats().violations_found, 0u);
+}
+
+/// Blocks one node more than its budget allows.
+class OverBudgetDos final : public adversary::DosAdversary {
+ public:
+  sim::BlockedSet choose(const sim::StaleSnapshotView& /*stale*/,
+                         std::span<const sim::NodeId> universe,
+                         std::size_t budget, sim::Round /*now*/) override {
+    sim::BlockedSet blocked;
+    for (std::size_t i = 0; i <= budget && i < universe.size(); ++i) {
+      blocked.insert(universe[i]);
+    }
+    return blocked;
+  }
+};
+
+TEST(AuditHooks, KaryOverlayOverBudgetAdversaryThrows) {
+  // The k-ary DHT overlay serves its adversary through the same attack
+  // round as the DoS and combined overlays, budget audit included.
+  apps::KaryGroupedOverlay::Config config;
+  config.size = 256;
+  config.arity = 4;
+  config.seed = 33;
+  apps::KaryGroupedOverlay overlay(config);
+  OverBudgetDos adversary;
+  dos::Attack attack;
+  attack.adversary = &adversary;
+  attack.blocked_fraction = 0.1;
+  {
+    ScopedEnable off(false);
+    EXPECT_NO_THROW((void)overlay.run_epoch(attack));
+  }
+  ScopedEnable on;
+  EXPECT_THROW((void)overlay.run_epoch(attack), AuditError);
 }
 
 TEST(AuditHooks, NodeLevelEpochUnderAuditIsSilent) {

@@ -313,7 +313,7 @@ TEST(CombinedOverlay, Theorem7ChurnAndDosTogether) {
   support::Rng churn_rng(10), dos_rng(11);
   adversary::UniformChurn churn(0.005, 1.0, 4.0, churn_rng);
   adversary::IsolationDos dos_adversary(dos_rng);
-  CombinedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &dos_adversary;
   attack.blocked_fraction = 0.25;
   attack.lateness = 60;
@@ -331,7 +331,7 @@ TEST(CombinedOverlay, ZeroLateGroupWipeIsDetected) {
   support::Rng dos_rng(13);
   adversary::GroupWipeDos dos_adversary(dos_rng);
   adversary::NoChurn quiet;
-  CombinedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &dos_adversary;
   attack.blocked_fraction = 0.45;
   attack.lateness = 0;
@@ -416,7 +416,7 @@ TEST(CombinedOverlay, MassCrashUnderChurnAndDos) {
   support::Rng churn_rng(34), dos_rng(35);
   adversary::UniformChurn churn(0.005, 1.0, 4.0, churn_rng);
   adversary::RandomDos dos_adversary(dos_rng);
-  CombinedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &dos_adversary;
   attack.blocked_fraction = 0.2;
   attack.lateness = 60;

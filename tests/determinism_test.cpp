@@ -72,7 +72,7 @@ std::vector<std::uint8_t> run_dos(std::uint64_t seed, int epochs) {
   config.seed = seed;
   dos::DosOverlay overlay(config);
   adversary::RandomDos adversary(support::Rng(seed ^ 0xD0));
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 64;
   attack.blocked_fraction = 0.1;
@@ -157,7 +157,7 @@ TEST(Determinism, TrialRunnerParallelMatchesSerialOnOverlayScenario) {
       config.seed = trial.derive_seed();
       dos::DosOverlay overlay(config);
       adversary::RandomDos adversary(trial.rng.split(1));
-      dos::DosOverlay::Attack attack;
+      dos::Attack attack;
       attack.adversary = &adversary;
       attack.lateness = 16;
       attack.blocked_fraction = 0.3;

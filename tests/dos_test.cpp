@@ -143,7 +143,7 @@ TEST(DosOverlay, SurvivesRandomAttackAtHalfMinusEpsilon) {
   DosOverlay overlay(config);
   support::Rng rng(5);
   adversary::RandomDos adversary(rng);
-  DosOverlay::Attack attack;
+  Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 64;  // > 2t for this configuration
   attack.blocked_fraction = 0.35;
@@ -162,7 +162,7 @@ TEST(DosOverlay, StaticOverlayFallsToZeroLateIsolation) {
   DosOverlay overlay(overlay_config(512, 6));
   support::Rng rng(7);
   adversary::IsolationDos adversary(rng);
-  DosOverlay::Attack attack;
+  Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 0;
   attack.blocked_fraction = 0.45;
@@ -179,7 +179,7 @@ TEST(DosOverlay, ReconfiguringOverlayResistsLateIsolation) {
   DosOverlay overlay(config);
   support::Rng rng(9);
   adversary::IsolationDos adversary(rng);
-  DosOverlay::Attack attack;
+  Attack attack;
   attack.adversary = &adversary;
   attack.blocked_fraction = 0.35;
   attack.lateness = 40;  // 2t with t = 16-20 rounds per epoch
@@ -198,7 +198,7 @@ TEST(DosOverlay, GroupWipeSilencesGroupsWhenZeroLate) {
   DosOverlay overlay(overlay_config(512, 10));
   support::Rng rng(11);
   adversary::GroupWipeDos adversary(rng);
-  DosOverlay::Attack attack;
+  Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 0;
   attack.blocked_fraction = 0.45;
@@ -219,7 +219,7 @@ TEST(DosOverlay, LatenessIsEnforcedViaSnapshots) {
   DosOverlay overlay(config);
   support::Rng rng(13);
   adversary::GroupWipeDos adversary(rng);
-  DosOverlay::Attack attack;
+  Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 1000000;
   attack.blocked_fraction = 0.45;
@@ -258,6 +258,30 @@ TEST(DosOverlay, StaticRunKeepsGroupsFixed) {
   for (const auto& [node, x] : before) {
     EXPECT_EQ(overlay.groups().supernode_of(node), x);
   }
+}
+
+TEST(DosOverlay, SnapshotsStayWithinTheLatenessHorizonOverLongRuns) {
+  // One snapshot per epoch of E rounds, kept only back to the lateness
+  // horizon: a 60-late adversary needs the newest ceil(60 / E) + 1 of them,
+  // however long the run.
+  auto config = overlay_config(256, 16);
+  config.group_c = 2.0;
+  DosOverlay overlay(config);
+  support::Rng rng(17);
+  adversary::RandomDos adversary(rng);
+  Attack attack;
+  attack.adversary = &adversary;
+  attack.lateness = 60;
+  attack.blocked_fraction = 0.2;
+  for (int epoch = 0; epoch < 64; ++epoch) {
+    const auto report = overlay.run_epoch(attack);
+    ASSERT_TRUE(report.success) << "epoch " << epoch << ": "
+                                << report.failure_reason;
+    const auto bound = static_cast<std::size_t>(
+        (attack.lateness + report.rounds - 1) / report.rounds + 1);
+    EXPECT_LE(overlay.snapshots().size(), bound) << "epoch " << epoch;
+  }
+  EXPECT_EQ(overlay.snapshots().lateness_horizon(), 60);
 }
 
 // --- shared group-level epoch (dos/group_epoch.hpp) -------------------------

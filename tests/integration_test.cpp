@@ -77,7 +77,7 @@ TEST(Integration, DosOverlayLongSiegeWithRetargeting) {
   dos::DosOverlay overlay(config);
   support::Rng rng(94);
   adversary::IsolationDos adversary(rng);
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &adversary;
   attack.blocked_fraction = 0.3;
   attack.lateness = 40;
@@ -176,7 +176,7 @@ TEST(Integration, AnonymizerAcrossGenerationsUnderSiege) {
   dos::DosOverlay overlay(config);
   support::Rng attacker_rng(101), rng(102);
   adversary::RandomDos attacker(attacker_rng);
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &attacker;
   attack.blocked_fraction = 0.3;
   attack.lateness = 64;
@@ -214,7 +214,7 @@ TEST(Integration, CombinedOverlayFullLifecycle) {
   combined::CombinedOverlay overlay(config);
   support::Rng rng(104);
   adversary::RandomDos dos_adversary(rng.split(1));
-  combined::CombinedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &dos_adversary;
   attack.blocked_fraction = 0.2;
   attack.lateness = 60;

@@ -16,11 +16,12 @@ namespace {
 PacerConfig tight_config() {
   PacerConfig config;
   config.round_budget_us = 1'000;
-  config.startup_grace_us = 0;
-  config.resync_horizon = 4;
-  config.suspect_after = 2;
-  config.evict_after = 4;
   return config;
+}
+
+/// The deadline budget of `round` under tight_config().
+std::int64_t budget_us(int round) {
+  return 1'000 + (round == 0 ? kStartupGraceUs : 0);
 }
 
 std::vector<sim::NodeId> ids(std::initializer_list<sim::NodeId> list) {
@@ -51,7 +52,7 @@ TEST(Pacer, DeadlineAdvanceWithoutQuorum) {
   pacer.set_peers(ids({1}));
 
   EXPECT_FALSE(pacer.tick(clock.now_us()).advance);
-  clock.advance_us(999);
+  clock.advance_us(budget_us(0) - 1);
   EXPECT_FALSE(pacer.tick(clock.now_us()).advance);
   clock.advance_us(1);
   const auto tick = pacer.tick(clock.now_us());
@@ -69,7 +70,7 @@ TEST(Pacer, EarlyAdvanceGatedOffWhileSendsUnsettled) {
   // Quorum is there, but our own sends are not acked: no early advance.
   EXPECT_FALSE(pacer.tick(clock.now_us(), /*early_ok=*/false).advance);
   // The deadline still fires — liveness beats the delivery barrier.
-  clock.advance_us(1'000);
+  clock.advance_us(budget_us(0));
   const auto tick = pacer.tick(clock.now_us(), /*early_ok=*/false);
   EXPECT_TRUE(tick.advance);
   EXPECT_EQ(pacer.counters().deadline_advances, 1u);
@@ -77,15 +78,13 @@ TEST(Pacer, EarlyAdvanceGatedOffWhileSendsUnsettled) {
 }
 
 TEST(Pacer, StartupGraceStretchesRoundZeroOnly) {
-  auto config = tight_config();
-  config.startup_grace_us = 10'000;
   FakeClock clock;
-  RoundPacer pacer(config, clock.now_us());
+  RoundPacer pacer(tight_config(), clock.now_us());
   pacer.set_peers(ids({1}));
 
-  clock.advance_us(5'000);  // past the budget, inside the grace
+  clock.advance_us(kStartupGraceUs);  // past the budget, inside the grace
   EXPECT_FALSE(pacer.tick(clock.now_us()).advance);
-  clock.advance_us(6'000);
+  clock.advance_us(1'000);
   EXPECT_TRUE(pacer.tick(clock.now_us()).advance);
   pacer.begin_round(1, clock.now_us());
   clock.advance_us(1'000);  // round 1 gets the plain budget
@@ -99,7 +98,7 @@ TEST(Pacer, StragglerWithinHorizonAdvancesNormally) {
 
   // The peer is ahead of us, but within the horizon: normal single-step
   // advance (it satisfies the quorum trivially), no resync jump.
-  pacer.note_frame(1, 3);
+  pacer.note_frame(1, kResyncHorizon);
   const auto tick = pacer.tick(clock.now_us());
   EXPECT_TRUE(tick.advance);
   EXPECT_FALSE(tick.resync);
@@ -112,11 +111,12 @@ TEST(Pacer, StragglerPastHorizonResyncs) {
   RoundPacer pacer(tight_config(), clock.now_us());
   pacer.set_peers(ids({1, 2}));
 
-  pacer.note_frame(1, 9);  // 9 > 0 + horizon(4): we are far behind
+  // Past round 0 + kResyncHorizon: we are far behind.
+  pacer.note_frame(1, kResyncHorizon + 1);
   const auto tick = pacer.tick(clock.now_us());
   EXPECT_TRUE(tick.advance);
   EXPECT_TRUE(tick.resync);
-  EXPECT_EQ(tick.next_round, 9);
+  EXPECT_EQ(tick.next_round, kResyncHorizon + 1);
   EXPECT_EQ(pacer.counters().resyncs, 1u);
 }
 
@@ -126,11 +126,11 @@ TEST(Pacer, StaleGhostNeitherRejoinsNorResyncs) {
   pacer.set_peers(ids({1, 2}));
   pacer.note_frame(2, 0);
 
-  // Evict peer 1 by letting it miss evict_after deadlines. Charging starts
+  // Evict peer 1 by letting it miss kEvictAfter deadlines. Charging starts
   // at round 1: at round 0 nobody has completed anything yet, so silence is
   // not a miss.
-  for (int round = 0; round < 5; ++round) {
-    clock.advance_us(1'000);
+  for (int round = 0; round <= kEvictAfter; ++round) {
+    clock.advance_us(budget_us(round));
     const auto tick = pacer.tick(clock.now_us());
     ASSERT_TRUE(tick.advance);
     pacer.begin_round(tick.next_round, clock.now_us());
@@ -153,24 +153,25 @@ TEST(Pacer, EvictedPeerRejoinsOnCurrentAnnouncement) {
   pacer.set_peers(ids({1, 2}));
   pacer.note_frame(2, 0);
 
-  for (int round = 0; round < 5; ++round) {
-    clock.advance_us(1'000);
+  for (int round = 0; round <= kEvictAfter; ++round) {
+    clock.advance_us(budget_us(round));
     const auto tick = pacer.tick(clock.now_us());
     ASSERT_TRUE(tick.advance);
     pacer.begin_round(tick.next_round, clock.now_us());
   }
-  ASSERT_TRUE(pacer.evicted(1));  // now in round 5
+  ASSERT_TRUE(pacer.evicted(1));  // now in round kEvictAfter + 1
+  const sim::Round now = pacer.round();
 
   // The peer was starved, not dead: a completion announcement for a current
   // round undoes the eviction (crashed nodes can never produce one), and
   // the rejoined peer counts toward the quorum again.
-  pacer.note_frame(1, 4);
+  pacer.note_frame(1, now - 1);
   EXPECT_FALSE(pacer.evicted(1));
   EXPECT_FALSE(pacer.suspected(1));
   EXPECT_EQ(pacer.counters().rejoins, 1u);
 
-  pacer.note_frame(1, 5);
-  pacer.note_frame(2, 5);
+  pacer.note_frame(1, now);
+  pacer.note_frame(2, now);
   const auto tick = pacer.tick(clock.now_us());
   EXPECT_TRUE(tick.advance);
   EXPECT_FALSE(tick.resync);
@@ -182,16 +183,16 @@ TEST(Pacer, SilentPeerSuspectedThenEvicted) {
   pacer.set_peers(ids({1, 2}));
 
   // Misses accrue from round 1 on (round 0 has no completed round to be
-  // behind of), so suspect_after = 2 trips after round 2's deadline and
-  // evict_after = 4 after round 4's.
-  for (int round = 0; round < 5; ++round) {
+  // behind of), so peer 1 is suspected after round kSuspectAfter's deadline
+  // and evicted after round kEvictAfter's.
+  for (int round = 0; round <= kEvictAfter; ++round) {
     pacer.note_frame(2, round);  // peer 2 keeps up, peer 1 stays silent
-    clock.advance_us(1'000);
+    clock.advance_us(budget_us(round));
     const auto tick = pacer.tick(clock.now_us());
     ASSERT_TRUE(tick.advance) << "round " << round;
     ASSERT_EQ(tick.next_round, round + 1);
-    if (round + 1 == 3) {
-      EXPECT_TRUE(pacer.suspected(1));  // suspect_after = 2
+    if (round == kSuspectAfter) {
+      EXPECT_TRUE(pacer.suspected(1));
       EXPECT_FALSE(pacer.evicted(1));
     }
     pacer.begin_round(tick.next_round, clock.now_us());
@@ -202,7 +203,7 @@ TEST(Pacer, SilentPeerSuspectedThenEvicted) {
   EXPECT_EQ(pacer.counters().evictions, 1u);
 
   // With the silent peer gone, the live peer alone forms the quorum.
-  pacer.note_frame(2, 5);
+  pacer.note_frame(2, pacer.round());
   EXPECT_TRUE(pacer.tick(clock.now_us()).advance);
   EXPECT_GE(pacer.counters().early_advances, 1u);
 }
@@ -212,18 +213,18 @@ TEST(Pacer, CatchUpClearsTheMissStreak) {
   RoundPacer pacer(tight_config(), clock.now_us());
   pacer.set_peers(ids({1}));
 
-  // Two misses (rounds 1 and 2) -> suspected; then the peer catches up and
-  // the streak resets at the next boundary instead of accumulating toward
-  // eviction.
-  for (int round = 0; round < 3; ++round) {
-    clock.advance_us(1'000);
+  // Misses in rounds 1..kSuspectAfter -> suspected; then the peer catches up
+  // and the streak resets at the next boundary instead of accumulating
+  // toward eviction.
+  for (int round = 0; round <= kSuspectAfter; ++round) {
+    clock.advance_us(budget_us(round));
     const auto tick = pacer.tick(clock.now_us());
     ASSERT_TRUE(tick.advance);
     pacer.begin_round(tick.next_round, clock.now_us());
   }
   ASSERT_TRUE(pacer.suspected(1));
 
-  pacer.note_frame(1, 3);
+  pacer.note_frame(1, pacer.round());
   const auto tick = pacer.tick(clock.now_us());
   ASSERT_TRUE(tick.advance);
   pacer.begin_round(tick.next_round, clock.now_us());
@@ -237,9 +238,9 @@ TEST(Pacer, GroupSilenceNeedsEveryTrackedMemberEvicted) {
   pacer.set_peers(ids({1, 2, 3}));
   pacer.note_frame(3, 0);
 
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round <= kEvictAfter; ++round) {
     pacer.note_frame(3, round);
-    clock.advance_us(1'000);
+    clock.advance_us(budget_us(round));
     const auto tick = pacer.tick(clock.now_us());
     ASSERT_TRUE(tick.advance);
     pacer.begin_round(tick.next_round, clock.now_us());
@@ -261,9 +262,9 @@ TEST(Pacer, SetPeersKeepsLivenessOfRetainedPeers) {
   RoundPacer pacer(tight_config(), clock.now_us());
   pacer.set_peers(ids({1, 2}));
 
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round <= kEvictAfter; ++round) {
     pacer.note_frame(2, round);
-    clock.advance_us(1'000);
+    clock.advance_us(budget_us(round));
     const auto tick = pacer.tick(clock.now_us());
     ASSERT_TRUE(tick.advance);
     pacer.begin_round(tick.next_round, clock.now_us());

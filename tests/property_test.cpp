@@ -312,7 +312,7 @@ TEST_P(BlockingSweep, LateRandomBlockingNeverDisconnects) {
   dos::DosOverlay overlay(config);
   support::Rng rng(config.seed + 1);
   adversary::RandomDos adversary(rng);
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = &adversary;
   attack.lateness = 10000;
   attack.blocked_fraction = fraction;

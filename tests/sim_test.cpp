@@ -209,17 +209,19 @@ TEST(WorkMeter, TracksMaxAcrossRounds) {
 }
 
 TEST(SnapshotBuffer, ServesStaleViews) {
-  SnapshotBuffer buffer(4);
+  SnapshotBuffer buffer;
+  buffer.ensure_lateness_horizon(3);
   for (Round r = 0; r < 6; ++r) {
     TopologySnapshot snap;
     snap.round = r;
     snap.nodes = {static_cast<NodeId>(r)};
     buffer.push(std::move(snap));
   }
-  // Capacity 4 keeps rounds 2..5.
+  // Horizon 3 keeps rounds 2..5: round 2 serves stale_view(5 - 3).
   EXPECT_EQ(buffer.size(), 4u);
   EXPECT_EQ(buffer.stale_view(5)->round, 5);
   EXPECT_EQ(buffer.stale_view(3)->round, 3);
+  EXPECT_EQ(buffer.stale_view(2)->round, 2);
   EXPECT_EQ(buffer.stale_view(100)->round, 5);
   EXPECT_EQ(buffer.stale_view(1), nullptr);
 }
@@ -238,24 +240,52 @@ TEST(SnapshotBuffer, TLateSemantics) {
   EXPECT_GE(now - view->round, lateness);
 }
 
-TEST(SnapshotBuffer, HorizonOutlivesCapacityEviction) {
-  // A tiny capacity with a large lateness horizon: eviction must never drop
-  // the snapshot a t-late adversary is served, so the horizon wins and the
-  // buffer grows past capacity (but stays bounded near the horizon).
-  SnapshotBuffer buffer(4);
+TEST(SnapshotBuffer, RetainsOnlyBackToTheHorizon) {
+  // One push per round under horizon 10: every round keeps exactly the
+  // snapshot a 10-late adversary is served, and nothing older, so the
+  // buffer never holds more than horizon + 1 snapshots.
+  SnapshotBuffer buffer;
   buffer.ensure_lateness_horizon(10);
   for (Round r = 0; r < 40; ++r) {
     TopologySnapshot snap;
     snap.round = r;
     buffer.push(std::move(snap));
+    EXPECT_LE(buffer.size(), 11u);
     if (r >= 10) {
       const auto* view = buffer.stale_view(r - 10);
       ASSERT_NE(view, nullptr) << "horizon snapshot evicted at round " << r;
-      EXPECT_GE(r - view->round, 10);
+      EXPECT_EQ(view->round, r - 10);
+      EXPECT_EQ(buffer.stale_view(r - 11), nullptr);
     }
   }
-  EXPECT_GT(buffer.size(), 4u);
-  EXPECT_LE(buffer.size(), 12u);
+  EXPECT_EQ(buffer.size(), 11u);
+}
+
+TEST(SnapshotBuffer, SparsePushesKeepTheSnapshotBeforeTheBoundary) {
+  // One push every 7 rounds under horizon 10: the front is the freshest
+  // snapshot at or before newest - 10, which may be up to 16 rounds old.
+  SnapshotBuffer buffer;
+  buffer.ensure_lateness_horizon(10);
+  for (Round r = 0; r <= 70; r += 7) {
+    TopologySnapshot snap;
+    snap.round = r;
+    buffer.push(std::move(snap));
+  }
+  // Newest 70, boundary 60: rounds 56, 63 and 70 stay.
+  EXPECT_EQ(buffer.size(), 3u);
+  EXPECT_EQ(buffer.stale_view(60)->round, 56);
+  EXPECT_EQ(buffer.stale_view(55), nullptr);
+}
+
+TEST(SnapshotBuffer, NoHorizonKeepsOnlyTheNewest) {
+  SnapshotBuffer buffer;
+  for (Round r = 0; r < 5; ++r) {
+    TopologySnapshot snap;
+    snap.round = r;
+    buffer.push(std::move(snap));
+  }
+  EXPECT_EQ(buffer.size(), 1u);
+  EXPECT_EQ(buffer.latest()->round, 4);
 }
 
 TEST(SnapshotBuffer, LatenessHorizonOnlyGrows) {
@@ -290,6 +320,7 @@ TEST(StaleSnapshotView, CountsEveryAuditedRead) {
 
 TEST(StaleSnapshotView, ServeStaleExactBoundaryHit) {
   SnapshotBuffer buffer;
+  buffer.ensure_lateness_horizon(4);
   for (Round r = 0; r <= 10; ++r) {
     TopologySnapshot snap;
     snap.round = r;

@@ -750,6 +750,32 @@ TEST(ForgedFrame, AssignAndLookupNamingUnknownNodesAreRejected) {
   EXPECT_EQ(node.metrics().invalid_frames, 4u);
 }
 
+TEST(ForgedFrame, TableFragmentAndLookupOutOfRangeAreRejected) {
+  NodeProtocol node = lone_node();
+  const int p = primitive_rounds(node);
+  // A gathered table that completes is committed as the next epoch's
+  // groups, so a fragment entry must name a supernode below 2^d and only
+  // nodes of the current table; a lookup is forwarded toward its home.
+  Message unknown_node;
+  unknown_node.kind = MsgKind::kTableFrag;
+  unknown_node.table = {TableEntry{0, {1, sim::NodeId{1} << 40}}};
+  Message unknown_supernode;
+  unknown_supernode.kind = MsgKind::kTableFrag;
+  unknown_supernode.table = {
+      TableEntry{0, {1}}, TableEntry{std::uint64_t{1} << kForgedDim, {2}}};
+  Message lookup;
+  lookup.kind = MsgKind::kLookup;
+  lookup.origin = 5;
+  lookup.supernode = std::uint64_t{1} << kForgedDim;
+  // A legal fragment names a supernode and nodes of the table.
+  Message legal;
+  legal.kind = MsgKind::kTableFrag;
+  legal.table = {TableEntry{0, {1, 2}}};
+  run_attempt_with(node, /*at=*/2 * p + 4,
+                   {unknown_node, unknown_supernode, lookup, legal});
+  EXPECT_EQ(node.metrics().invalid_frames, 3u);
+}
+
 // --- datagram fuzz ----------------------------------------------------------
 // A forged or corrupted datagram must never crash a node. The corpus is every
 // distinct frame one node emits over an attempt plus the runtime's heartbeat

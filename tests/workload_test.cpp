@@ -494,6 +494,33 @@ TEST(WorkloadDriver, PubSubPublishThenFetchRoundTrips) {
   EXPECT_EQ(report.issued, report.completed + report.failed + report.in_flight);
 }
 
+TEST(WorkloadDriver, AdaptersAttackEpochsOnlyWhenConfigured) {
+  // Each adapter builds its epoch attack from its config. An adversary
+  // blocking 90% of the nodes silences some group, so the attacked epoch
+  // fails and keeps the old groups; with the default epoch_blocked_fraction
+  // of 0 the same epoch succeeds.
+  support::Rng rng(1);
+  DhtAdapterConfig dht;
+  dht.size = 256;
+  dht.seed = 24;
+  PubSubAdapterConfig pubsub;
+  pubsub.size = 256;
+  pubsub.seed = 25;
+  AnonymAdapterConfig anonym;
+  anonym.size = 256;
+  anonym.seed = 26;
+  EXPECT_TRUE(DhtAdapter(dht).run_epoch(rng).ok);
+  EXPECT_TRUE(PubSubAdapter(pubsub).run_epoch(rng).ok);
+  EXPECT_TRUE(AnonymAdapter(anonym).run_epoch(rng).ok);
+
+  dht.epoch_blocked_fraction = 0.9;
+  pubsub.epoch_blocked_fraction = 0.9;
+  anonym.epoch_blocked_fraction = 0.9;
+  EXPECT_FALSE(DhtAdapter(dht).run_epoch(rng).ok);
+  EXPECT_FALSE(PubSubAdapter(pubsub).run_epoch(rng).ok);
+  EXPECT_FALSE(AnonymAdapter(anonym).run_epoch(rng).ok);
+}
+
 TEST(WorkloadDriver, AnonymizerDeliversUserTraffic) {
   AnonymAdapterConfig adapter_config;
   adapter_config.size = 256;

@@ -156,7 +156,7 @@ Outcome run_dos(const Args& args, std::uint64_t seed, bool verbose) {
 
   auto adversary = make_dos_adversary(args.get_string("adversary", "random"),
                                       support::Rng(seed + 1));
-  dos::DosOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = adversary.get();
   attack.blocked_fraction = args.get_double("blocked", 0.35);
   attack.lateness = args.get_int("lateness", 40);
@@ -218,7 +218,7 @@ Outcome run_combined(const Args& args, std::uint64_t seed, bool verbose) {
                                 args.get_double("growth", 1.0), 4.0, rng);
   auto dos_adversary = make_dos_adversary(
       args.get_string("adversary", "isolation"), support::Rng(seed + 2));
-  combined::CombinedOverlay::Attack attack;
+  dos::Attack attack;
   attack.adversary = dos_adversary.get();
   attack.blocked_fraction = args.get_double("blocked", 0.25);
   attack.lateness = args.get_int("lateness", 60);
