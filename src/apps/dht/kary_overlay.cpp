@@ -22,24 +22,10 @@ KaryGroupedOverlay::KaryGroupedOverlay(const Config& config)
   push_snapshot();
 }
 
-std::vector<std::pair<sim::NodeId, sim::NodeId>>
-KaryGroupedOverlay::overlay_edges() const {
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
-  for (std::uint64_t x = 0; x < cube_.size(); ++x) {
-    const auto& members = table_.group(x);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      for (std::size_t j = i + 1; j < members.size(); ++j) {
-        edges.emplace_back(members[i], members[j]);
-      }
-    }
-    for (std::uint64_t y : cube_.neighbors(x)) {
-      if (y < x) continue;
-      for (sim::NodeId a : members) {
-        for (sim::NodeId b : table_.group(y)) edges.emplace_back(a, b);
-      }
-    }
-  }
-  return edges;
+graph::NeighborVisitor KaryGroupedOverlay::adjacency() const {
+  return [this](std::size_t x, const std::function<void(std::size_t)>& visit) {
+    for (std::uint64_t y : cube_.neighbors(x)) visit(y);
+  };
 }
 
 bool KaryGroupedOverlay::group_available(
@@ -80,11 +66,8 @@ void KaryGroupedOverlay::advance_round(const dos::Attack& attack,
   const auto nodes = table_.all_nodes();
   const sim::BlockedSet& blocked = rounds_.block(attack, nodes);
   rounds_.tally(table_.groups(), report);
-  // A fully unblocked overlay is trivially connected (every group is
-  // non-empty and the hypercube is connected), so skip materializing the
-  // quadratic edge list — the dominant cost at n = 10^5 — in quiet rounds.
-  if (!blocked.empty() &&
-      !graph::is_connected_excluding(nodes, overlay_edges(), blocked)) {
+  if (!graph::groups_connected_excluding(table_.groups(), adjacency(),
+                                         blocked)) {
     ++report.disconnected_rounds;
   }
   if (fault_hook_ != nullptr) fault_hook_->on_step(round());

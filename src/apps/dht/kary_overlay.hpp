@@ -15,6 +15,7 @@
 
 #include "dos/attack.hpp"
 #include "dos/group_table.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/kary_hypercube.hpp"
 #include "sampling/schedule.hpp"
 #include "sim/blocked.hpp"
@@ -76,7 +77,9 @@ class KaryGroupedOverlay {
   /// Cliques inside groups plus complete bipartite connections between
   /// groups of adjacent k-ary vertices.
   [[nodiscard]] std::vector<std::pair<sim::NodeId, sim::NodeId>>
-  overlay_edges() const;
+  overlay_edges() const {
+    return graph::group_edges(table_.groups(), adjacency());
+  }
 
   /// Deterministic key-to-supernode placement for the DHT layer.
   [[nodiscard]] std::uint64_t supernode_of_key(std::uint64_t key_hash) const {
@@ -99,6 +102,8 @@ class KaryGroupedOverlay {
   sim::DeliveryHook* fault_hook_ = nullptr;
   std::vector<sim::Round> fate_;  ///< fault-hook scratch
 
+  /// k-ary adjacency of the groups: x's cube_.neighbors(x), in that order.
+  [[nodiscard]] graph::NeighborVisitor adjacency() const;
   void push_snapshot();
   void advance_round(const dos::Attack& attack, EpochReport& report);
   /// Offers one sampler-exchange message to the fault hook; true = lost

@@ -46,8 +46,7 @@ CombinedOverlay::CombinedOverlay(const Config& config)
       rng_(config.seed),
       super_(bootstrap(config, rng_, ids_)) {
   for (sim::NodeId id : super_.all_nodes()) ever_members_.insert(id);
-  edges_ = super_.overlay_edges();
-  rounds_.push_snapshot(super_.all_nodes(), edges_);
+  rounds_.push_snapshot(super_.all_nodes(), super_.overlay_edges());
 }
 
 void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
@@ -101,12 +100,14 @@ void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
   // contents do not depend on the iteration order
   for (sim::NodeId node : crashed_) blocked.insert(node);
 
-  const std::uint64_t max_load = rounds_.tally(
-      super_.groups() | std::views::values | std::views::elements<1>, report);
+  const auto groups =
+      super_.groups() | std::views::values | std::views::elements<1>;
+  const std::uint64_t max_load = rounds_.tally(groups, report);
   report.max_node_bits_per_round =
       std::max(report.max_node_bits_per_round, max_load * state_bits);
 
-  if (!graph::is_connected_excluding(nodes, edges_, blocked)) {
+  if (!graph::groups_connected_excluding(groups, super_.adjacency(),
+                                         blocked)) {
     ++report.disconnected_rounds;
   }
 
@@ -273,7 +274,8 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   if (super_.min_group_size() == 0) {
     return fail("split/merge left an empty supernode");
   }
-  edges_ = super_.overlay_edges();
+  // The epoch's one edge list: the audit reads it, the snapshot keeps it.
+  auto edges = super_.overlay_edges();
   // Epoch-boundary audit (Section 6): after split/merge maintenance the live
   // labels must form a complete prefix-free code, every supernode must
   // satisfy Equation (1), the groups must partition the members, and the
@@ -281,7 +283,7 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   if (audit::enabled()) {
     auto violations = audit::check_supergroups(super_, config_.group_c);
     for (auto& violation :
-         audit::check_edge_symmetry(super_.all_nodes(), edges_)) {
+         audit::check_edge_symmetry(super_.all_nodes(), edges)) {
       // reconfnet-hotcheck: allow(RNH404) audit-only path, sizes unknowable
       violations.push_back(std::move(violation));
     }
@@ -290,7 +292,7 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   for (int r = 0; r < 2 * report.split_merge.sweeps; ++r) {
     advance_round(churn, attack, state_bits(cores), report);
   }
-  rounds_.push_snapshot(super_.all_nodes(), edges_);
+  rounds_.push_snapshot(super_.all_nodes(), std::move(edges));
 
   epoch_departing_.clear();
   // Delegate joins staged during this epoch whose sponsor just left.

@@ -101,7 +101,6 @@ class CombinedOverlay {
   support::Rng rng_;
   sim::IdAllocator ids_;
   SuperGroups super_;
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges_;
   dos::AttackRounds rounds_;
 
   std::unordered_map<sim::NodeId, std::vector<sim::NodeId>> staged_joins_;

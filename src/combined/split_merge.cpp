@@ -1,6 +1,7 @@
 #include "combined/split_merge.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace reconfnet::combined {
@@ -225,27 +226,24 @@ void SuperGroups::reassign(
   groups_ = std::move(fresh);
 }
 
+graph::NeighborVisitor SuperGroups::adjacency() const {
+  std::vector<Label> labels;
+  labels.reserve(groups_.size());
+  for (const auto& [key, entry] : groups_) labels.push_back(entry.first);
+  return [labels = std::move(labels)](
+             std::size_t x, const std::function<void(std::size_t)>& visit) {
+    for (std::size_t y = 0; y < labels.size(); ++y) {
+      if (labels_connected(labels[x], labels[y])) visit(y);
+    }
+  };
+}
+
 std::vector<std::pair<sim::NodeId, sim::NodeId>> SuperGroups::overlay_edges()
     const {
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
-  for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-    const auto& [label_a, members_a] = it->second;
-    for (std::size_t i = 0; i < members_a.size(); ++i) {
-      for (std::size_t j = i + 1; j < members_a.size(); ++j) {
-        edges.emplace_back(members_a[i], members_a[j]);
-      }
-    }
-    for (auto jt = std::next(it); jt != groups_.end(); ++jt) {
-      const auto& [label_b, members_b] = jt->second;
-      if (!labels_connected(label_a, label_b)) continue;
-      for (sim::NodeId a : members_a) {
-        for (sim::NodeId b : members_b) {
-          edges.emplace_back(a, b);
-        }
-      }
-    }
-  }
-  return edges;
+  std::vector<std::span<const sim::NodeId>> members;
+  members.reserve(groups_.size());
+  for (const auto& [key, entry] : groups_) members.emplace_back(entry.second);
+  return graph::group_edges(members, adjacency());
 }
 
 std::vector<sim::NodeId> SuperGroups::all_nodes() const {

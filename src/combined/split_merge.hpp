@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "combined/labels.hpp"
+#include "graph/connectivity.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -77,6 +78,10 @@ class SuperGroups {
   void reassign(const std::vector<std::pair<Label, std::vector<sim::NodeId>>>&
                     fresh_groups,
                 bool allow_empty = false);
+
+  /// The Section 6 connectivity rule (labels_connected) over the supernodes
+  /// indexed in groups() order.
+  [[nodiscard]] graph::NeighborVisitor adjacency() const;
 
   /// Overlay edges under the Section 6 connectivity rule (group cliques plus
   /// bipartite links between connected supernodes).

@@ -107,30 +107,11 @@ std::vector<sim::NodeId> GroupTable::all_nodes() const {
   return nodes;
 }
 
-std::vector<std::pair<sim::NodeId, sim::NodeId>> GroupTable::overlay_edges()
-    const {
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges;
-  for (std::uint64_t x = 0; x < supernodes(); ++x) {
-    const auto& members = groups_[x];
-    // Clique inside the group.
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      for (std::size_t j = i + 1; j < members.size(); ++j) {
-        edges.emplace_back(members[i], members[j]);
-      }
-    }
-    // Complete bipartite graph to each neighboring group (count each
-    // supernode edge once).
-    for (int bit = 0; bit < dimension_; ++bit) {
-      const std::uint64_t y = x ^ (std::uint64_t{1} << bit);
-      if (y < x) continue;
-      for (sim::NodeId a : members) {
-        for (sim::NodeId b : groups_[y]) {
-          edges.emplace_back(a, b);
-        }
-      }
-    }
-  }
-  return edges;
+graph::NeighborVisitor GroupTable::adjacency() const {
+  return [d = dimension_](std::size_t x,
+                          const std::function<void(std::size_t)>& visit) {
+    for (int bit = 0; bit < d; ++bit) visit(x ^ (std::size_t{1} << bit));
+  };
 }
 
 }  // namespace reconfnet::dos

@@ -2,7 +2,9 @@
 // 2^d supernodes of a d-dimensional hypercube, where each supernode x is
 // represented by a group R(x) of Theta(log n) nodes. With no node blocked,
 // each group forms a clique and neighboring groups form complete bipartite
-// graphs.
+// graphs (graph::group_edges). Connectivity under blocking is checked on the
+// supernodes themselves (graph::groups_connected_excluding), never on that
+// edge list.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/connectivity.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -65,11 +68,17 @@ class GroupTable {
 
   [[nodiscard]] std::vector<sim::NodeId> all_nodes() const;
 
+  /// Hypercube adjacency of the supernodes: x's neighbors are x with one
+  /// bit flipped, visited from the lowest bit up.
+  [[nodiscard]] graph::NeighborVisitor adjacency() const;
+
   /// The overlay edge set: cliques inside groups plus complete bipartite
-  /// connections between groups of adjacent supernodes. This is both what
-  /// the DoS adversary observes and what connectivity is checked on.
+  /// connections between groups of adjacent supernodes. This is what the
+  /// DoS adversary observes.
   [[nodiscard]] std::vector<std::pair<sim::NodeId, sim::NodeId>>
-  overlay_edges() const;
+  overlay_edges() const {
+    return graph::group_edges(groups_, adjacency());
+  }
 
  private:
   int dimension_;

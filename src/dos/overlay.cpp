@@ -15,8 +15,7 @@ DosOverlay::DosOverlay(const Config& config)
       groups_(GroupTable::random(
           choose_dimension(config.size, /*arity=*/2, config.group_c),
           config.size, rng_)) {
-  edges_ = groups_.overlay_edges();
-  rounds_.push_snapshot(groups_.all_nodes(), edges_);
+  rounds_.push_snapshot(groups_.all_nodes(), groups_.overlay_edges());
 }
 
 void DosOverlay::advance_round(const Attack& attack,
@@ -35,7 +34,8 @@ void DosOverlay::advance_round(const Attack& attack,
       report.max_node_bits_per_round, max_load * state_bits + extra_group_bits);
 
   // Connectivity of the overlay restricted to non-blocked nodes.
-  if (!graph::is_connected_excluding(nodes, edges_, blocked)) {
+  if (!graph::groups_connected_excluding(groups_.groups(), groups_.adjacency(),
+                                         blocked)) {
     ++report.disconnected_rounds;
   }
   rounds_.end_round();
@@ -120,20 +120,21 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
       break;
   }
 
-  edges_ = groups_.overlay_edges();
+  // The epoch's one edge list: the audit reads it, the snapshot keeps it.
+  auto edges = groups_.overlay_edges();
   // Epoch-boundary audit (Section 5): the rebuilt groups partition the node
   // set with Theta(log n) representatives each, and the overlay edge list is
   // a well-formed undirected graph.
   if (audit::enabled()) {
     auto violations = audit::check_group_table(groups_, config_.group_c);
     for (auto& violation :
-         audit::check_edge_symmetry(groups_.all_nodes(), edges_)) {
+         audit::check_edge_symmetry(groups_.all_nodes(), edges)) {
       // reconfnet-hotcheck: allow(RNH404) audit-only path, sizes unknowable
       violations.push_back(std::move(violation));
     }
     audit::enforce(std::move(violations));
   }
-  rounds_.push_snapshot(groups_.all_nodes(), edges_);
+  rounds_.push_snapshot(groups_.all_nodes(), std::move(edges));
 
   report.success = report.disconnected_rounds == 0;
   if (!report.success) report.failure_reason = "disconnected";

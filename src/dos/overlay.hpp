@@ -80,7 +80,6 @@ class DosOverlay {
   Config config_;
   support::Rng rng_;
   GroupTable groups_;
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> edges_;  // current topology
   AttackRounds rounds_;
 
   /// Advances one overlay round: adversary blocks, availability and

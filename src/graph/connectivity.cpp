@@ -37,29 +37,6 @@ class UnionFind {
   std::size_t components_;
 };
 
-std::size_t components_of_id_graph(
-    std::span<const sim::NodeId> nodes,
-    std::span<const std::pair<sim::NodeId, sim::NodeId>> edges,
-    const std::unordered_set<sim::NodeId>& excluded) {
-  std::unordered_map<sim::NodeId, std::size_t> index;
-  index.reserve(nodes.size());
-  for (sim::NodeId node : nodes) {
-    if (!excluded.contains(node)) {
-      index.emplace(node, index.size());
-    }
-  }
-  if (index.empty()) return 0;
-  UnionFind uf(index.size());
-  for (const auto& [a, b] : edges) {
-    const auto ia = index.find(a);
-    const auto ib = index.find(b);
-    if (ia != index.end() && ib != index.end()) {
-      uf.unite(ia->second, ib->second);
-    }
-  }
-  return uf.components();
-}
-
 }  // namespace
 
 std::size_t count_components(std::size_t n, const NeighborVisitor& visit) {
@@ -78,33 +55,19 @@ bool is_connected(std::size_t n, const NeighborVisitor& visit) {
 bool is_connected(
     std::span<const sim::NodeId> nodes,
     std::span<const std::pair<sim::NodeId, sim::NodeId>> edges) {
-  static const std::unordered_set<sim::NodeId> kNone;
-  return components_of_id_graph(nodes, edges, kNone) <= 1;
-}
-
-bool is_connected_excluding(
-    std::span<const sim::NodeId> nodes,
-    std::span<const std::pair<sim::NodeId, sim::NodeId>> edges,
-    const std::unordered_set<sim::NodeId>& excluded) {
-  return components_of_id_graph(nodes, edges, excluded) <= 1;
-}
-
-bool is_connected_excluding(
-    std::span<const sim::NodeId> nodes,
-    std::span<const std::pair<sim::NodeId, sim::NodeId>> edges,
-    const sim::BlockedSet& excluded) {
-  // The sorted snapshot costs O(|blocked| log |blocked|); connectivity checks
-  // run once per round on sets bounded by the adversary budget.
-  const auto ids = excluded.sorted_ids();
-  const std::unordered_set<sim::NodeId> as_set(ids.begin(), ids.end());
-  return components_of_id_graph(nodes, edges, as_set) <= 1;
-}
-
-std::size_t count_components_excluding(
-    std::span<const sim::NodeId> nodes,
-    std::span<const std::pair<sim::NodeId, sim::NodeId>> edges,
-    const std::unordered_set<sim::NodeId>& excluded) {
-  return components_of_id_graph(nodes, edges, excluded);
+  std::unordered_map<sim::NodeId, std::size_t> index;
+  index.reserve(nodes.size());
+  for (sim::NodeId node : nodes) index.emplace(node, index.size());
+  if (index.empty()) return true;
+  UnionFind uf(index.size());
+  for (const auto& [a, b] : edges) {
+    const auto ia = index.find(a);
+    const auto ib = index.find(b);
+    if (ia != index.end() && ib != index.end()) {
+      uf.unite(ia->second, ib->second);
+    }
+  }
+  return uf.components() <= 1;
 }
 
 }  // namespace reconfnet::graph

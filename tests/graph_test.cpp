@@ -214,32 +214,42 @@ TEST(Connectivity, IgnoresEdgesToUnknownNodes) {
   EXPECT_FALSE(is_connected(nodes, edges));  // 99 is not a member
 }
 
-TEST(Connectivity, ExcludingBlockedNodes) {
-  // Path 1-2-3; blocking 2 disconnects it.
-  const std::vector<sim::NodeId> nodes{1, 2, 3};
-  const std::vector<std::pair<sim::NodeId, sim::NodeId>> edges{{1, 2}, {2, 3}};
-  const std::unordered_set<sim::NodeId> none;
-  const std::unordered_set<sim::NodeId> middle{2};
-  const std::unordered_set<sim::NodeId> endpoint{1};
-  EXPECT_TRUE(is_connected_excluding(nodes, edges, none));
-  EXPECT_FALSE(is_connected_excluding(nodes, edges, middle));
-  EXPECT_EQ(count_components_excluding(nodes, edges, middle), 2u);
-  // Blocking an endpoint keeps the rest connected.
-  EXPECT_TRUE(is_connected_excluding(nodes, edges, endpoint));
+/// Groups 0-1-2 on a path.
+void path_of_three(std::size_t x, const std::function<void(std::size_t)>& f) {
+  if (x > 0) f(x - 1);
+  if (x < 2) f(x + 1);
 }
 
-TEST(Connectivity, ExcludingBlockedSetMatchesRawSetOverload) {
-  const std::vector<sim::NodeId> nodes{1, 2, 3};
-  const std::vector<std::pair<sim::NodeId, sim::NodeId>> edges{{1, 2}, {2, 3}};
-  EXPECT_TRUE(is_connected_excluding(nodes, edges, sim::BlockedSet()));
-  EXPECT_FALSE(is_connected_excluding(nodes, edges, sim::BlockedSet({2})));
-  EXPECT_TRUE(is_connected_excluding(nodes, edges, sim::BlockedSet({1})));
+TEST(Connectivity, ExcludingBlockedNodes) {
+  // R(0) = {1}, R(1) = {2, 4}, R(2) = {3} on the path 0-1-2.
+  const std::vector<std::vector<sim::NodeId>> groups{{1}, {2, 4}, {3}};
+  EXPECT_TRUE(
+      groups_connected_excluding(groups, path_of_three, sim::BlockedSet()));
+  // One available member keeps the middle group a bridge.
+  EXPECT_TRUE(
+      groups_connected_excluding(groups, path_of_three, sim::BlockedSet({2})));
+  // Silencing the middle group cuts the path.
+  EXPECT_FALSE(groups_connected_excluding(groups, path_of_three,
+                                          sim::BlockedSet({2, 4})));
+  // Silencing an end group keeps the rest connected.
+  EXPECT_TRUE(
+      groups_connected_excluding(groups, path_of_three, sim::BlockedSet({1})));
+}
+
+TEST(Connectivity, GroupEdgesAreCliquesThenLinksToLaterGroups) {
+  const std::vector<std::vector<sim::NodeId>> groups{{1, 2}, {3}, {4}};
+  const std::vector<std::pair<sim::NodeId, sim::NodeId>> expected{
+      {1, 2}, {1, 3}, {2, 3}, {3, 4}};
+  EXPECT_EQ(group_edges(groups, path_of_three), expected);
 }
 
 TEST(Connectivity, AllNodesExcludedCountsAsConnected) {
-  const std::vector<sim::NodeId> nodes{1, 2};
-  const std::unordered_set<sim::NodeId> all{1, 2};
-  EXPECT_TRUE(is_connected_excluding(nodes, {}, all));
+  const std::vector<std::vector<sim::NodeId>> groups{{1}, {2}, {3}};
+  EXPECT_TRUE(groups_connected_excluding(groups, path_of_three,
+                                         sim::BlockedSet({1, 2, 3})));
+  // So does a single group that keeps a member.
+  EXPECT_TRUE(groups_connected_excluding(groups, path_of_three,
+                                         sim::BlockedSet({1, 2})));
 }
 
 }  // namespace

@@ -7,15 +7,18 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ranges>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
 
 #include "adversary/churn.hpp"
 #include "adversary/dos.hpp"
+#include "apps/dht/kary_overlay.hpp"
 #include "churn/active_search.hpp"
 #include "churn/overlay.hpp"
 #include "churn/reconfigure.hpp"
+#include "combined/overlay.hpp"
 #include "combined/split_merge.hpp"
 #include "dos/overlay.hpp"
 #include "graph/connectivity.hpp"
@@ -371,6 +374,181 @@ TEST_P(SkewSweep, EnforceRestoresEquationOne) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Skews, SkewSweep, ::testing::Values(0, 1, 2, 3));
+
+// --- Grouped overlays: one topology rule (Sections 5-7) -----------------------
+
+/// Checks that groups_connected_excluding agrees with is_connected over the
+/// non-blocked nodes and the overlay's edge list, for these blocked sets:
+/// none, every node, each whole group, every group adjacent to one group,
+/// and random fractions up to 60%. Returns how many of them disconnect.
+template <class Groups>
+std::size_t expect_rule_matches_node_graph(
+    const Groups& groups, const graph::NeighborVisitor& adjacent,
+    const std::vector<std::pair<sim::NodeId, sim::NodeId>>& edges,
+    support::Rng& rng) {
+  std::vector<std::vector<sim::NodeId>> lists;
+  std::vector<sim::NodeId> all;
+  for (const auto& members : groups) {
+    lists.emplace_back(members.begin(), members.end());
+    all.insert(all.end(), members.begin(), members.end());
+  }
+  std::size_t disconnected = 0;
+  auto check = [&](const std::unordered_set<sim::NodeId>& ids) {
+    const sim::BlockedSet blocked(ids);
+    std::vector<sim::NodeId> up;
+    for (sim::NodeId node : all) {
+      if (!ids.contains(node)) up.push_back(node);
+    }
+    const bool connected = graph::is_connected(up, edges);
+    EXPECT_EQ(graph::groups_connected_excluding(groups, adjacent, blocked),
+              connected)
+        << ids.size() << " of " << all.size() << " nodes blocked";
+    if (!connected) ++disconnected;
+  };
+  check({});
+  check({all.begin(), all.end()});
+  for (std::size_t x = 0; x < lists.size(); ++x) {
+    check({lists[x].begin(), lists[x].end()});
+    std::unordered_set<sim::NodeId> around;
+    adjacent(x, [&](std::size_t y) {
+      around.insert(lists[y].begin(), lists[y].end());
+    });
+    check(around);
+  }
+  for (const double fraction : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
+    for (int draw = 0; draw < 4; ++draw) {
+      std::unordered_set<sim::NodeId> ids;
+      for (sim::NodeId node : all) {
+        if (rng.bernoulli(fraction)) ids.insert(node);
+      }
+      check(ids);
+    }
+  }
+  return disconnected;
+}
+
+/// A complete prefix-free code of mixed dimension, grown by `splits` random
+/// leaf splits from the root, with one to four members per supernode.
+combined::SuperGroups mixed_supergroups(support::Rng& rng, int splits) {
+  std::vector<combined::Label> leaves{combined::Label{}};
+  for (int i = 0; i < splits; ++i) {
+    const std::size_t at = rng.below(leaves.size());
+    const combined::Label leaf = leaves[at];
+    leaves[at] = leaf.child(0);
+    leaves.push_back(leaf.child(1));
+  }
+  std::vector<std::pair<combined::Label, std::vector<sim::NodeId>>> groups;
+  sim::NodeId next = 0;
+  for (const auto& leaf : leaves) {
+    std::vector<sim::NodeId> members(1 + rng.below(4));
+    for (auto& member : members) member = next++;
+    groups.emplace_back(leaf, std::move(members));
+  }
+  return combined::SuperGroups(std::move(groups));
+}
+
+TEST(GroupRule, BinaryGroupTablesMatchNodeGraph) {
+  std::size_t disconnected = 0;
+  for (int d = 1; d <= 5; ++d) {
+    support::Rng rng(100 + static_cast<std::uint64_t>(d));
+    const auto table = dos::GroupTable::random(d, std::size_t{3} << d, rng);
+    disconnected += expect_rule_matches_node_graph(
+        table.groups(), table.adjacency(), table.overlay_edges(), rng);
+  }
+  EXPECT_GT(disconnected, 0u);
+  // At d = 2, groups 1 and 2 are the neighbors of groups 0 and 3.
+  const dos::GroupTable square(2, {{1, 2}, {3, 4}, {5, 6}, {7, 8}});
+  EXPECT_FALSE(graph::groups_connected_excluding(
+      square.groups(), square.adjacency(), sim::BlockedSet({3, 4, 5, 6})));
+  EXPECT_TRUE(graph::groups_connected_excluding(
+      square.groups(), square.adjacency(), sim::BlockedSet({3, 4, 5})));
+}
+
+TEST(GroupRule, KaryOverlaysMatchNodeGraph) {
+  std::size_t disconnected = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    apps::KaryGroupedOverlay::Config config;
+    config.size = 256;
+    config.arity = 4;
+    config.group_c = 0.25;  // 64 groups of about 4
+    config.seed = seed;
+    const apps::KaryGroupedOverlay overlay(config);
+    const graph::NeighborVisitor adjacent =
+        [&](std::size_t x, const std::function<void(std::size_t)>& visit) {
+          for (std::uint64_t y : overlay.cube().neighbors(x)) visit(y);
+        };
+    support::Rng rng(seed);
+    disconnected += expect_rule_matches_node_graph(
+        overlay.groups().groups(), adjacent, overlay.overlay_edges(), rng);
+  }
+  EXPECT_GT(disconnected, 0u);
+}
+
+TEST(GroupRule, MixedDimensionSuperGroupsMatchNodeGraph) {
+  std::size_t disconnected = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    support::Rng rng(seed);
+    auto super = mixed_supergroups(rng, 12);
+    EXPECT_LT(super.min_dimension(), super.max_dimension());
+    const auto groups =
+        super.groups() | std::views::values | std::views::elements<1>;
+    disconnected += expect_rule_matches_node_graph(
+        groups, super.adjacency(), super.overlay_edges(), rng);
+    // A shrinking network may empty a supernode until enforce() merges it:
+    // move the first group's members into the second.
+    std::vector<std::pair<combined::Label, std::vector<sim::NodeId>>> fresh;
+    for (const auto& [key, entry] : super.groups()) fresh.push_back(entry);
+    fresh[1].second.insert(fresh[1].second.end(), fresh[0].second.begin(),
+                           fresh[0].second.end());
+    fresh[0].second.clear();
+    super.reassign(fresh, /*allow_empty=*/true);
+    EXPECT_EQ(super.min_group_size(), 0u);
+    disconnected += expect_rule_matches_node_graph(
+        groups, super.adjacency(), super.overlay_edges(), rng);
+  }
+  EXPECT_GT(disconnected, 0u);
+}
+
+/// FNV-1a over an edge list's size and endpoints, in order.
+std::uint64_t edge_hash(
+    const std::vector<std::pair<sim::NodeId, sim::NodeId>>& edges) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(edges.size());
+  for (const auto& [a, b] : edges) {
+    mix(a);
+    mix(b);
+  }
+  return hash;
+}
+
+TEST(GroupRule, OverlayEdgesKeepTheirPinnedOrder) {
+  // Taken from the three per-overlay edge builders this rule replaced: the
+  // topology snapshots every t-late adversary reads stay byte-identical.
+  support::Rng rng(7);
+  EXPECT_EQ(edge_hash(dos::GroupTable::random(5, 512, rng).overlay_edges()),
+            0x2ca4a2fa69d1a0a9ULL);
+  EXPECT_EQ(edge_hash(mixed_supergroups(rng, 24).overlay_edges()),
+            0x88215b499ff4aa8eULL);
+  combined::CombinedOverlay::Config combined_config;
+  combined_config.initial_size = 512;
+  combined_config.seed = 7;
+  EXPECT_EQ(edge_hash(combined::CombinedOverlay(combined_config)
+                          .supernodes()
+                          .overlay_edges()),
+            0x72382294b43e8ea2ULL);
+  apps::KaryGroupedOverlay::Config kary_config;
+  kary_config.size = 1024;
+  kary_config.arity = 4;
+  kary_config.seed = 7;
+  EXPECT_EQ(edge_hash(apps::KaryGroupedOverlay(kary_config).overlay_edges()),
+            0xd2e9b71691299c3cULL);
+}
 
 // --- Blocking semantics as algebraic properties --------------------------------
 

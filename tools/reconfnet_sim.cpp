@@ -1,7 +1,7 @@
 // reconfnet_sim — command-line driver for the reconfnet scenarios.
 //
 //   reconfnet_sim churn    [--n 256] [--epochs 8] [--turnover 0.02]
-//                          [--growth 1.0] [--rate 2.0]
+//                          [--growth 1.0] [--rate 2.0] [--degree 8] [--c 2.0]
 //                          [--adversary uniform|segment|flood|burst|none]
 //   reconfnet_sim dos      [--n 1024] [--epochs 4] [--blocked 0.35]
 //                          [--lateness 40] [--group-c 2.0] [--static]
@@ -9,9 +9,13 @@
 //   reconfnet_sim combined [--n 1024] [--epochs 4] [--turnover 0.005]
 //                          [--growth 1.0] [--blocked 0.25] [--lateness 60]
 //                          [--group-c 2.0]
+//                          [--adversary random|isolation|groupwipe|none]
+//                          (default isolation)
 //   reconfnet_sim sample   [--n 1024] [--graph hgraph|hypercube]
 //                          [--eps 1.0] [--c 2.0] [--plain]
 //   reconfnet_sim estimate [--n 1024] [--slots 32]
+//
+// The first --adversary listed is the default, except for combined.
 //
 // Common: [--seed <u64>] [--reps <k>] [--jobs <w>] [--json [path]].
 // With --reps > 1 (or --json / --jobs), the scenario runs as a multi-trial
@@ -440,12 +444,15 @@ void usage() {
 
 commands:
   churn      churn-resistant H-graph overlay       (--n --epochs --turnover
-             --growth --rate --adversary uniform|segment|flood|burst|none)
+             --growth --rate --degree --c
+             --adversary uniform|segment|flood|burst|none)
   dos        DoS-resistant grouped hypercube       (--n --epochs --blocked
              --lateness --group-c --static
              --adversary random|isolation|groupwipe|none)
   combined   churn + DoS with split/merge          (--n --epochs --turnover
-             --growth --blocked --lateness --group-c)
+             --growth --blocked --lateness --group-c
+             --adversary random|isolation|groupwipe|none,
+             default isolation)
   sample     one run of the sampling primitive     (--n --graph
              hgraph|hypercube --eps --c --plain)
   estimate   distributed size estimation           (--n --slots)
