@@ -45,21 +45,27 @@ CombinedOverlay::CombinedOverlay(const Config& config)
     : config_(config),
       rng_(config.seed),
       super_(bootstrap(config, rng_, ids_)) {
-  for (sim::NodeId id : super_.all_nodes()) ever_members_.insert(id);
-  rounds_.push_snapshot(super_.all_nodes(), super_.overlay_edges());
+  refresh_topology();
+  for (sim::NodeId id : members_) ever_members_.insert(id);
+  rounds_.push_snapshot(members_, super_.overlay_edges());
+}
+
+void CombinedOverlay::refresh_topology() {
+  members_ = super_.all_nodes();
+  sorted_members_ = members_;
+  std::sort(sorted_members_.begin(), sorted_members_.end());
+  adjacency_ = super_.adjacency();
 }
 
 void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
-  const auto members = super_.all_nodes();
-  std::unordered_set<sim::NodeId> member_set(members.begin(), members.end());
   std::vector<sim::NodeId> departing(staged_leaves_.begin(),
                                      staged_leaves_.end());
   departing.insert(departing.end(), epoch_departing_.begin(),
                    epoch_departing_.end());
-  adversary::ChurnView view{round(), members, departing};
+  adversary::ChurnView view{round(), members_, departing};
   const auto batch = churn.next(view, ids_);
   for (const auto& [fresh, sponsor] : batch.joins) {
-    if (!member_set.contains(sponsor) || staged_leaves_.contains(sponsor)) {
+    if (!is_member(sponsor) || staged_leaves_.contains(sponsor)) {
       throw std::logic_error("churn adversary violated the sponsor rule");
     }
     if (ever_members_.contains(fresh)) {
@@ -69,7 +75,7 @@ void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
     staged_joins_[sponsor].push_back(fresh);
   }
   for (sim::NodeId leaver : batch.leaves) {
-    if (!member_set.contains(leaver)) {
+    if (!is_member(leaver)) {
       throw std::logic_error("churn adversary removed a non-member");
     }
     staged_leaves_.insert(leaver);
@@ -77,8 +83,7 @@ void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
 }
 
 void CombinedOverlay::crash(sim::NodeId node) {
-  const auto members = super_.all_nodes();
-  if (std::find(members.begin(), members.end(), node) == members.end()) {
+  if (!is_member(node)) {
     throw std::invalid_argument("crash: node is not a member");
   }
   if (!crashed_.insert(node).second) {
@@ -93,8 +98,7 @@ void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
                                     const dos::Attack& attack,
                                     std::uint64_t state_bits,
                                     EpochReport& report) {
-  const auto nodes = super_.all_nodes();
-  sim::BlockedSet& blocked = rounds_.block(attack, nodes, &ever_members_);
+  sim::BlockedSet& blocked = rounds_.block(attack, members_, &ever_members_);
   // Crashed members are silent forever, on top of any adversary budget.
   // reconfnet-lint: allow(RNL005) set union into a BlockedSet; the result's
   // contents do not depend on the iteration order
@@ -106,8 +110,7 @@ void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
   report.max_node_bits_per_round =
       std::max(report.max_node_bits_per_round, max_load * state_bits);
 
-  if (!graph::groups_connected_excluding(groups, super_.adjacency(),
-                                         blocked)) {
+  if (!graph::groups_connected_excluding(groups, adjacency_, blocked)) {
     ++report.disconnected_rounds;
   }
 
@@ -269,8 +272,11 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   try {
     report.split_merge = super_.enforce(config_.group_c, enforce_rng);
   } catch (const std::runtime_error& error) {
+    refresh_topology();
     return fail(error.what());
   }
+  // Membership and labels are final for this epoch.
+  refresh_topology();
   if (super_.min_group_size() == 0) {
     return fail("split/merge left an empty supernode");
   }
@@ -283,7 +289,7 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   if (audit::enabled()) {
     auto violations = audit::check_supergroups(super_, config_.group_c);
     for (auto& violation :
-         audit::check_edge_symmetry(super_.all_nodes(), edges)) {
+         audit::check_edge_symmetry(members_, edges)) {
       // reconfnet-hotcheck: allow(RNH404) audit-only path, sizes unknowable
       violations.push_back(std::move(violation));
     }
@@ -292,19 +298,16 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   for (int r = 0; r < 2 * report.split_merge.sweeps; ++r) {
     advance_round(churn, attack, state_bits(cores), report);
   }
-  rounds_.push_snapshot(super_.all_nodes(), std::move(edges));
+  rounds_.push_snapshot(members_, std::move(edges));
 
   epoch_departing_.clear();
   // Delegate joins staged during this epoch whose sponsor just left.
-  const auto member_list = super_.all_nodes();
-  std::unordered_set<sim::NodeId> member_set(member_list.begin(),
-                                             member_list.end());
   // Sorted sponsor order: each orphan draws a delegate from the overlay
   // RNG, so hash-bucket order must not pick the processing sequence.
   std::vector<sim::NodeId> orphaned;
   for (sim::NodeId sponsor : support::sorted_keys(staged_joins_)) {
     // reconfnet-hotcheck: allow(RNH404) once per epoch, usually a handful
-    if (!member_set.contains(sponsor)) orphaned.push_back(sponsor);
+    if (!is_member(sponsor)) orphaned.push_back(sponsor);
   }
   for (sim::NodeId sponsor : orphaned) {
     // Staged joins are keyed by sponsor id, which survives renumbering and is
@@ -313,18 +316,16 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
     auto list = std::move(staged_joins_[sponsor]);
     // reconfnet-hotcheck: allow(RNH403) sparse sponsor-id staging table
     staged_joins_.erase(sponsor);
-    const sim::NodeId delegate = member_list[rng_.below(member_list.size())];
+    const sim::NodeId delegate = members_[rng_.below(members_.size())];
     // reconfnet-hotcheck: allow(RNH403) sparse sponsor-id staging table
     auto& dest = staged_joins_[delegate];
     dest.insert(dest.end(), list.begin(), list.end());
   }
-  std::erase_if(staged_leaves_, [&member_set](sim::NodeId node) {
-    return !member_set.contains(node);
-  });
+  std::erase_if(staged_leaves_,
+                [this](sim::NodeId node) { return !is_member(node); });
   // Crashed nodes that have now left the overlay need no further emulation.
-  std::erase_if(crashed_, [&member_set](sim::NodeId node) {
-    return !member_set.contains(node);
-  });
+  std::erase_if(crashed_,
+                [this](sim::NodeId node) { return !is_member(node); });
 
   report.success = report.disconnected_rounds == 0;
   if (!report.success) report.failure_reason = "disconnected";

@@ -12,6 +12,7 @@
 // (see DESIGN.md's substitution table).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -21,6 +22,7 @@
 #include "adversary/churn.hpp"
 #include "combined/split_merge.hpp"
 #include "dos/attack.hpp"
+#include "graph/connectivity.hpp"
 #include "sampling/schedule.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
@@ -88,9 +90,7 @@ class CombinedOverlay {
   [[nodiscard]] std::size_t size() const { return super_.node_count(); }
   [[nodiscard]] sim::Round round() const { return rounds_.round(); }
   [[nodiscard]] sim::IdAllocator& ids() { return ids_; }
-  [[nodiscard]] std::vector<sim::NodeId> members() const {
-    return super_.all_nodes();
-  }
+  [[nodiscard]] std::vector<sim::NodeId> members() const { return members_; }
 
   /// The initial dimension for n nodes per Lemma 18: the unique d with
   /// 2^d * 2cd < n <= 2^{d+1} * 2c(d+1).
@@ -102,6 +102,13 @@ class CombinedOverlay {
   sim::IdAllocator ids_;
   SuperGroups super_;
   dos::AttackRounds rounds_;
+
+  // The topology of super_, rebuilt only where membership or labels change
+  // (construction, and after the epoch's reassign and split/merge) and read
+  // by every round.
+  std::vector<sim::NodeId> members_;         ///< super_.all_nodes()
+  std::vector<sim::NodeId> sorted_members_;  ///< members_, ascending
+  graph::NeighborVisitor adjacency_;         ///< super_.adjacency()
 
   std::unordered_map<sim::NodeId, std::vector<sim::NodeId>> staged_joins_;
   std::unordered_set<sim::NodeId> staged_leaves_;
@@ -116,6 +123,12 @@ class CombinedOverlay {
                      const dos::Attack& attack, std::uint64_t state_bits,
                      EpochReport& report);
   void poll_churn(adversary::ChurnAdversary& churn);
+  /// Rebuilds members_, sorted_members_ and adjacency_ from super_.
+  void refresh_topology();
+  [[nodiscard]] bool is_member(sim::NodeId node) const {
+    return std::binary_search(sorted_members_.begin(), sorted_members_.end(),
+                              node);
+  }
 };
 
 }  // namespace reconfnet::combined

@@ -230,11 +230,15 @@ graph::NeighborVisitor SuperGroups::adjacency() const {
   std::vector<Label> labels;
   labels.reserve(groups_.size());
   for (const auto& [key, entry] : groups_) labels.push_back(entry.first);
-  return [labels = std::move(labels)](
-             std::size_t x, const std::function<void(std::size_t)>& visit) {
+  std::vector<std::vector<std::size_t>> neighbors(labels.size());
+  for (std::size_t x = 0; x < labels.size(); ++x) {
     for (std::size_t y = 0; y < labels.size(); ++y) {
-      if (labels_connected(labels[x], labels[y])) visit(y);
+      if (labels_connected(labels[x], labels[y])) neighbors[x].push_back(y);
     }
+  }
+  return [neighbors = std::move(neighbors)](
+             std::size_t x, const std::function<void(std::size_t)>& visit) {
+    for (const std::size_t y : neighbors[x]) visit(y);
   };
 }
 

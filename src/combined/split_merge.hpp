@@ -80,7 +80,9 @@ class SuperGroups {
                 bool allow_empty = false);
 
   /// The Section 6 connectivity rule (labels_connected) over the supernodes
-  /// indexed in groups() order.
+  /// indexed in groups() order, each visited ascending. The neighbour lists
+  /// are computed once per call, so the visitor is as cheap to walk as an
+  /// edge list and goes stale when the labels change.
   [[nodiscard]] graph::NeighborVisitor adjacency() const;
 
   /// Overlay edges under the Section 6 connectivity rule (group cliques plus

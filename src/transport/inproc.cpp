@@ -41,16 +41,20 @@ Frame FrameArena::allocate(std::size_t size) {
   return frame;
 }
 
-void InprocTransport::send(sim::NodeId to, const Message& msg) {
+void InprocTransport::send(std::span<const sim::NodeId> to,
+                           const Message& msg) {
   // Heartbeats carry no protocol content and the lockstep driver needs no
   // liveness signal; the protocol meters them, the hub skips them.
   if (msg.kind == MsgKind::kHeartbeat) return;
-  if (hub_->send(self_, to, msg)) ++counters_.datagrams_sent;
+  counters_.datagrams_sent += hub_->send(self_, to, msg);
 }
 
 void InprocTransport::poll(std::vector<sim::Envelope<Message>>& out) {
   const std::span<const sim::Envelope<Frame>> inbox = hub_->inbox(self_);
-  out.reserve(out.size() + inbox.size());
+  // Decode into the entries `out` already holds: their nested vectors keep
+  // their capacity from the rounds before.
+  if (out.size() < inbox.size()) out.resize(inbox.size());
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < inbox.size(); ++i) {
     // An inbox interleaves the frames of every sender, so its bytes are
     // scattered over the arena: fetch a few frames ahead, at both ends (a
@@ -60,16 +64,17 @@ void InprocTransport::poll(std::vector<sim::Envelope<Message>>& out) {
       __builtin_prefetch(ahead.data());
       __builtin_prefetch(ahead.data() + ahead.size() - 1);
     }
-    auto& frame = out.emplace_back();
+    auto& frame = out[kept];
     frame.from = inbox[i].from;
     frame.to = self_;
     if (!decode(hub_->bytes(inbox[i].payload), frame.payload)) {
-      out.pop_back();
       ++counters_.decode_failures;
       continue;
     }
     ++counters_.datagrams_received;
+    ++kept;
   }
+  out.resize(kept);
 }
 
 InprocDeployment::InprocDeployment(InprocDeploymentConfig config)
@@ -80,13 +85,13 @@ InprocDeployment::InprocDeployment(InprocDeploymentConfig config)
     ids.push_back(static_cast<sim::NodeId>(i));
   }
   support::Rng table_rng(config_.table_seed);
-  initial_table_ = std::make_unique<dos::GroupTable>(
+  initial_table_ = std::make_shared<const dos::GroupTable>(
       dos::GroupTable::random(config_.dimension, ids, table_rng));
   protocols_.reserve(ids.size());
   endpoints_.reserve(ids.size());
   for (const sim::NodeId id : ids) {
     protocols_.push_back(std::make_unique<NodeProtocol>(
-        id, *initial_table_, config_.protocol));
+        id, initial_table_, config_.protocol));
     endpoints_.push_back(std::make_unique<InprocTransport>(&hub_, id));
   }
 }
@@ -95,7 +100,7 @@ InprocDeployment::Report InprocDeployment::run() {
   Report report;
   const auto n = static_cast<std::size_t>(config_.nodes);
   std::vector<sim::NodeId> dead;  // crash-stop nodes, sorted
-  std::vector<sim::Envelope<Message>> inbox;
+  std::vector<sim::Envelope<Message>> inbox;  // poll() replaces its contents
   NodeProtocol::Outbox outbox;
 
   for (sim::Round round = 0; round < config_.max_rounds; ++round) {
@@ -113,14 +118,15 @@ InprocDeployment::Report InprocDeployment::run() {
       if (hub_.mangler().is_crashed(id, round)) continue;
       if (round > 0 && hub_.mangler().is_crashed(id, round - 1)) {
         protocols_[i] = std::make_unique<NodeProtocol>(
-            id, *initial_table_, config_.protocol);
+            id, initial_table_, config_.protocol);
       }
-      inbox.clear();
       endpoints_[i]->poll(inbox);
       outbox.clear();
       const bool running =
           protocols_[i]->on_round(round, inbox, outbox, dead);
-      for (auto& [to, msg] : outbox) endpoints_[i]->send(to, msg);
+      for (const auto& [to, msg] : outbox.frames()) {
+        endpoints_[i]->send(to, msg);
+      }
       if (running) all_live_done = false;
     }
     hub_.step();

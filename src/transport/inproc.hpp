@@ -116,19 +116,31 @@ class InprocHub {
     endpoints_[index] = true;
   }
 
-  /// Encodes `msg` into this round's arena and ships it, charged at its
-  /// exact byte length. Returns false when the frame is not sent: its
-  /// destination has no endpoint, or the mangler dropped it.
-  bool send(sim::NodeId from, sim::NodeId to, const Message& msg) {
-    if (to >= endpoints_.size() || !endpoints_[static_cast<std::size_t>(to)]) {
-      ++unroutable_;
-      return false;
+  /// Ships `msg` to every id in `to`, in order, each copy charged at the
+  /// frame's exact byte length. A destination without an endpoint is
+  /// counted unroutable, and the mangler may drop any other. The frame is
+  /// encoded into this round's arena once, at the first destination that
+  /// survives, and every envelope points at those bytes. Returns the number
+  /// of destinations the frame was sent to.
+  std::size_t send(sim::NodeId from, std::span<const sim::NodeId> to,
+                   const Message& msg) {
+    Frame frame;
+    std::size_t sent = 0;
+    for (const sim::NodeId dest : to) {
+      if (dest >= endpoints_.size() ||
+          !endpoints_[static_cast<std::size_t>(dest)]) {
+        ++unroutable_;
+        continue;
+      }
+      if (mangler_.drop(from, dest, bus_.round(), /*attempt=*/0)) continue;
+      if (sent == 0) {
+        frame = sending_.allocate(encoded_bytes(msg));
+        encode_into(msg, sending_.bytes(frame));
+      }
+      bus_.send(from, dest, frame, 8ull * frame.size);
+      ++sent;
     }
-    if (mangler_.drop(from, to, bus_.round(), /*attempt=*/0)) return false;
-    const Frame frame = sending_.allocate(encoded_bytes(msg));
-    encode_into(msg, sending_.bytes(frame));
-    bus_.send(from, to, frame, 8ull * frame.size);
-    return true;
+    return sent;
   }
 
   /// Frames delivered to `node` for the current round.
@@ -164,7 +176,8 @@ class InprocTransport final : public Transport {
     hub_->attach(self_);
   }
 
-  void send(sim::NodeId to, const Message& msg) override;
+  using Transport::send;
+  void send(std::span<const sim::NodeId> to, const Message& msg) override;
   void poll(std::vector<sim::Envelope<Message>>& out) override;
   void advance_round(sim::Round round) override { (void)round; }
 
@@ -212,7 +225,7 @@ class InprocDeployment {
  private:
   InprocDeploymentConfig config_;
   InprocHub hub_;
-  std::unique_ptr<dos::GroupTable> initial_table_;
+  std::shared_ptr<const dos::GroupTable> initial_table_;  ///< nodes share it
   std::vector<std::unique_ptr<NodeProtocol>> protocols_;
   std::vector<std::unique_ptr<InprocTransport>> endpoints_;
 };

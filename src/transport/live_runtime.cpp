@@ -72,12 +72,11 @@ LiveNodeRuntime::LiveNodeRuntime(LiveConfig config, Clock* clock)
 
 void LiveNodeRuntime::run_round(sim::Round round) {
   transport_->advance_round(round);
-  inbox_.clear();
   transport_->poll(inbox_);
   const std::vector<sim::NodeId> dead = pacer_->evicted_peers();
   outbox_.clear();
   protocol_->on_round(round, inbox_, outbox_, dead);
-  for (auto& [to, msg] : outbox_) transport_->send(to, msg);
+  for (const auto& [to, msg] : outbox_.frames()) transport_->send(to, msg);
   // The peer set changes when an epoch commits a new table; re-declaring it
   // every round is cheap and keeps the pacer's liveness view current.
   peers_ = protocol_->peers();
@@ -101,11 +100,10 @@ void LiveNodeRuntime::announce(sim::Round completed, std::int64_t now_us) {
   Message beat;
   beat.kind = MsgKind::kHeartbeat;
   beat.round = completed;
-  for (const sim::NodeId peer : peers_) {
-    transport_->send(peer, beat);
-    ++heartbeats_sent_;
-    heartbeat_bits_ += 8ull * (kLinkHeaderBytes + encoded_bytes(beat));
-  }
+  transport_->send(peers_, beat);
+  heartbeats_sent_ += peers_.size();
+  heartbeat_bits_ +=
+      8ull * (kLinkHeaderBytes + encoded_bytes(beat)) * peers_.size();
   announced_ = std::max(announced_, completed);
   last_heartbeat_us_ = now_us;
 }

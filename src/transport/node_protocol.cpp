@@ -1,6 +1,7 @@
 #include "transport/node_protocol.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "apps/dht/robust_store.hpp"
 
@@ -20,6 +21,13 @@ std::uint64_t next_hop(std::uint64_t cur, std::uint64_t home) {
 
 NodeProtocol::NodeProtocol(sim::NodeId self, dos::GroupTable initial,
                            Config config)
+    : NodeProtocol(self,
+                   std::make_shared<const dos::GroupTable>(std::move(initial)),
+                   std::move(config)) {}
+
+NodeProtocol::NodeProtocol(sim::NodeId self,
+                           std::shared_ptr<const dos::GroupTable> initial,
+                           Config config)
     : self_(self), config_(std::move(config)), table_(std::move(initial)) {
   if (config_.epochs <= 0) {
     mode_ = Mode::kDone;
@@ -32,14 +40,14 @@ NodeProtocol::NodeProtocol(sim::NodeId self, dos::GroupTable initial,
 
 void NodeProtocol::begin_attempt(sim::Round start_round) {
   epoch_start_ = start_round;
-  supernode_ = table_.supernode_of(self_);
+  supernode_ = table_->supernode_of(self_);
   ++metrics_.attempts;
 
-  const int d = table_.dimension();
+  const int d = table_->dimension();
   schedule_ = sampling::group_schedule(
-      sampling::SizeEstimate::from_true_size(table_.size(),
+      sampling::SizeEstimate::from_true_size(table_->size(),
                                              config_.size_estimate_slack),
-      d, table_.max_group_size(), config_.sampling);
+      d, table_->max_group_size(), config_.sampling);
   primitive_rounds_ = 2 * schedule_.iterations + 1;
   epoch_rounds_ = 2 * primitive_rounds_ + d + 6;
 
@@ -61,8 +69,8 @@ void NodeProtocol::begin_attempt(sim::Round start_round) {
   // every node must walk the full x-major, id-ascending loop and keep only
   // its own two streams for the states to agree across processes).
   support::Rng my_init{0};
-  for (std::uint64_t x = 0; x < table_.supernodes(); ++x) {
-    for (const sim::NodeId id : table_.group(x)) {
+  for (std::uint64_t x = 0; x < table_->supernodes(); ++x) {
+    for (const sim::NodeId id : table_->group(x)) {
       auto init_rng = master.split(0xA000 + x);
       auto node_rng = master.split(0xB0000 + id);
       if (id == self_) {
@@ -123,7 +131,7 @@ bool NodeProtocol::on_round(sim::Round round,
   } else if (mode_ == Mode::kEpochs) {
     const std::int64_t r = round - epoch_start_;
     const int two_p = 2 * primitive_rounds_;
-    const int d = table_.dimension();
+    const int d = table_->dimension();
     if (r < two_p) {
       if (r % 2 == 0) {
         sampler_sim_round(static_cast<int>(r / 2) + 1, out);
@@ -156,7 +164,7 @@ void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
   // Resynchronize from the freshest state seen (own or broadcast), then
   // apply this primitive round's deduplicated supernode messages.
   const SamplerState* best = nullptr;
-  super_dedup_.clear();
+  super_scratch_.clear();
   for (const auto* envelope : accepted_) {
     const Message& msg = envelope->payload;
     if (msg.kind == MsgKind::kStateBroadcast) {
@@ -165,8 +173,7 @@ void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
                           : static_cast<std::int32_t>(state_->seq);
       if (msg.state.seq > best_seq) best = &msg.state;
     } else if (msg.kind == MsgKind::kSuper && msg.super.seq == seq - 1) {
-      super_dedup_.emplace(std::make_pair(msg.super.src, msg.super.index),
-                           msg.super);
+      super_scratch_.push_back(envelope);
     }
   }
   if (best != nullptr && best->seq > state_->seq) {
@@ -175,9 +182,24 @@ void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
   }
   if (state_->seq != seq - 1) return;  // still stale: sit out
 
-  super_scratch_.clear();
-  super_scratch_.reserve(super_dedup_.size());
-  for (auto& [key, msg] : super_dedup_) super_scratch_.push_back(msg);
+  // Every member of a sending group forwards the same message: keep the
+  // first copy of each (src, index), in key order. Every pointer points into
+  // this round's inbox span, so copies of one key are ordered by address,
+  // which is arrival order.
+  using Received = const sim::Envelope<Message>*;
+  auto key = [](Received frame) {
+    return std::tuple(frame->payload.super.src, frame->payload.super.index,
+                      frame);
+  };
+  std::sort(super_scratch_.begin(), super_scratch_.end(),
+            [&](Received a, Received b) { return key(a) < key(b); });
+  super_scratch_.erase(
+      std::unique(super_scratch_.begin(), super_scratch_.end(),
+                  [](Received a, Received b) {
+                    return a->payload.super.src == b->payload.super.src &&
+                           a->payload.super.index == b->payload.super.index;
+                  }),
+      super_scratch_.end());
   auto [next, outbox] = advance(*state_, super_scratch_);
 
   // The candidate goes to the whole group (self included); our own copy is
@@ -188,7 +210,7 @@ void NodeProtocol::sampler_sim_round(int seq, Outbox& out) {
   msg.supernode = supernode_;
   msg.state = freeze(next);
   msg.outbox = std::move(outbox);
-  emit(out, table_.group(supernode_), std::move(msg));
+  emit(out, table_->group(supernode_), std::move(msg));
 }
 
 void NodeProtocol::sampler_sync_round(Outbox& out) {
@@ -216,17 +238,17 @@ void NodeProtocol::sampler_sync_round(Outbox& out) {
   // Forward the supernode's outgoing messages to every member of each target
   // group, and rebroadcast the adopted state to our own group.
   for (const SuperMsg& super : winner->outbox) {
-    if (super.dest >= table_.supernodes()) continue;
+    if (super.dest >= table_->supernodes()) continue;
     Message msg;
     msg.kind = MsgKind::kSuper;
     msg.super = super;
-    emit(out, table_.group(super.dest), std::move(msg));
+    emit(out, table_->group(super.dest), std::move(msg));
   }
   Message broadcast;
   broadcast.kind = MsgKind::kStateBroadcast;
   broadcast.supernode = supernode_;
   broadcast.state = winner->state;
-  emit(out, table_.group(supernode_), std::move(broadcast));
+  emit(out, table_->group(supernode_), std::move(broadcast));
 }
 
 // --- reorganization (Lemma 15) ----------------------------------------------
@@ -234,7 +256,7 @@ void NodeProtocol::sampler_sync_round(Outbox& out) {
 void NodeProtocol::reorg_round_a(Outbox& out) {
   if (state_->seq != primitive_rounds_) return;
   const auto& samples = state_->core.samples();
-  const auto& members = table_.group(supernode_);
+  const auto& members = table_->group(supernode_);
   if (samples.size() < members.size()) {
     ++metrics_.sample_shortages;
     return;
@@ -244,7 +266,7 @@ void NodeProtocol::reorg_round_a(Outbox& out) {
     msg.kind = MsgKind::kAssign;
     msg.assigned = members[i];
     msg.supernode = samples[i];
-    emit(out, table_.group(samples[i]), std::move(msg));
+    emit(out, table_->group(samples[i]), std::move(msg));
   }
 }
 
@@ -264,9 +286,9 @@ void NodeProtocol::reorg_round_b(Outbox& out) {
   msg.supernode = supernode_;
   msg.group = fresh_group_;
   emit(out, fresh_group_, msg);
-  for (int bit = 0; bit < table_.dimension(); ++bit) {
+  for (int bit = 0; bit < table_->dimension(); ++bit) {
     const std::uint64_t y = supernode_ ^ (std::uint64_t{1} << bit);
-    emit(out, table_.group(y), msg);
+    emit(out, table_->group(y), msg);
   }
 }
 
@@ -311,7 +333,7 @@ void NodeProtocol::merge_table(const std::vector<TableEntry>& fragment) {
 }
 
 bool NodeProtocol::table_complete() const {
-  if (gather_conflict_ || gathered_.size() != table_.supernodes()) {
+  if (gather_conflict_ || gathered_.size() != table_->supernodes()) {
     return false;
   }
   std::set<sim::NodeId> seen;
@@ -321,7 +343,7 @@ bool NodeProtocol::table_complete() const {
       if (!seen.insert(id).second) return false;
     }
   }
-  return seen.size() == table_.size();
+  return seen.size() == table_->size();
 }
 
 void NodeProtocol::allgather_round(int dim, Outbox& out) {
@@ -343,7 +365,7 @@ void NodeProtocol::allgather_round(int dim, Outbox& out) {
   }
   const std::uint64_t partner =
       supernode_ ^ (std::uint64_t{1} << static_cast<unsigned>(dim));
-  emit(out, table_.group(partner), std::move(msg));
+  emit(out, table_->group(partner), std::move(msg));
 }
 
 void NodeProtocol::vote_round(Outbox& out) {
@@ -357,7 +379,7 @@ void NodeProtocol::vote_round(Outbox& out) {
   msg.kind = MsgKind::kCommitVote;
   msg.supernode = supernode_;
   msg.complete = vote_complete_;
-  emit(out, table_.group(supernode_), std::move(msg));
+  emit(out, table_->group(supernode_), std::move(msg));
 }
 
 void NodeProtocol::commit_round(sim::Round round) {
@@ -370,11 +392,12 @@ void NodeProtocol::commit_round(sim::Round round) {
     std::vector<std::vector<sim::NodeId>> groups;
     groups.reserve(gathered_.size());
     for (const auto& [x, members] : gathered_) groups.push_back(members);
-    table_ = dos::GroupTable(table_.dimension(), std::move(groups));
+    table_ = std::make_shared<const dos::GroupTable>(table_->dimension(),
+                                                     std::move(groups));
     // Lemma 15 view check: we learned our own new group and all d of its
     // neighbor groups through rounds C/D (not just through the all-gather).
     bool knowledge = own_new_group_known_;
-    for (int bit = 0; knowledge && bit < table_.dimension(); ++bit) {
+    for (int bit = 0; knowledge && bit < table_->dimension(); ++bit) {
       const std::uint64_t y =
           own_new_supernode_ ^ (std::uint64_t{1} << bit);
       knowledge = neighbor_groups_seen_.count(y) > 0;
@@ -414,9 +437,9 @@ void NodeProtocol::advance_epoch(bool committed, sim::Round next_start) {
 
 void NodeProtocol::check_doomed(std::span<const sim::NodeId> dead) {
   if (doomed_ || dead.empty()) return;
-  for (std::uint64_t x = 0; x < table_.supernodes(); ++x) {
+  for (std::uint64_t x = 0; x < table_->supernodes(); ++x) {
     bool alive = false;
-    for (const sim::NodeId id : table_.group(x)) {
+    for (const sim::NodeId id : table_->group(x)) {
       if (!std::binary_search(dead.begin(), dead.end(), id)) {
         alive = true;
         break;
@@ -432,9 +455,9 @@ void NodeProtocol::check_doomed(std::span<const sim::NodeId> dead) {
 // --- DHT smoke phase --------------------------------------------------------
 
 void NodeProtocol::smoke_round(sim::Round round, Outbox& out) {
-  const int d = table_.dimension();
+  const int d = table_->dimension();
   const std::int64_t r = round - smoke_start_;
-  const std::uint64_t cur = table_.supernode_of(self_);
+  const std::uint64_t cur = table_->supernode_of(self_);
   if (r <= 0) {
     // Every node looks up its own id as the key.
     const std::uint64_t home = apps::RobustStore::hypercube_home(self_, d);
@@ -447,7 +470,7 @@ void NodeProtocol::smoke_round(sim::Round round, Outbox& out) {
     msg.key = self_;
     msg.origin = self_;
     msg.supernode = home;
-    emit(out, table_.group(next_hop(cur, home)), std::move(msg));
+    emit(out, table_->group(next_hop(cur, home)), std::move(msg));
     return;
   }
   for (const auto* envelope : accepted_) {
@@ -461,7 +484,7 @@ void NodeProtocol::smoke_round(sim::Round round, Outbox& out) {
         reply.origin = msg.origin;
         emit(out, {&msg.origin, 1}, std::move(reply));
       } else {
-        emit(out, table_.group(next_hop(cur, msg.supernode)), msg);
+        emit(out, table_->group(next_hop(cur, msg.supernode)), msg);
       }
     } else if (msg.kind == MsgKind::kLookupReply && msg.origin == self_) {
       metrics_.lookup_ok = true;
@@ -478,7 +501,7 @@ void NodeProtocol::smoke_round(sim::Round round, Outbox& out) {
 
 NodeProtocol::Snap NodeProtocol::rebuild(const SamplerState& state,
                                          std::uint64_t supernode) const {
-  Core core(table_.dimension(), supernode, schedule_);
+  Core core(table_->dimension(), supernode, schedule_);
   core.restore_blocks(state.blocks);
   return Snap{std::move(core), state.seq};
 }
@@ -486,15 +509,16 @@ NodeProtocol::Snap NodeProtocol::rebuild(const SamplerState& state,
 SamplerState NodeProtocol::freeze(const Snap& snap) const {
   SamplerState state;
   state.seq = snap.seq;
-  state.blocks.reserve(static_cast<std::size_t>(table_.dimension()));
-  for (int j = 1; j <= table_.dimension(); ++j) {
+  state.blocks.reserve(static_cast<std::size_t>(table_->dimension()));
+  for (int j = 1; j <= table_->dimension(); ++j) {
     state.blocks.push_back(snap.core.block(j));
   }
   return state;
 }
 
 std::pair<NodeProtocol::Snap, std::vector<SuperMsg>> NodeProtocol::advance(
-    const Snap& prev, const std::vector<SuperMsg>& incoming) {
+    const Snap& prev,
+    std::span<const sim::Envelope<Message>* const> incoming) {
   // Mirror of dos/node_sim.cpp advance(): odd seq = request phase, even seq
   // = response phase, identical call order so the rng streams line up.
   Snap next{prev.core, prev.seq + 1};
@@ -503,7 +527,8 @@ std::pair<NodeProtocol::Snap, std::vector<SuperMsg>> NodeProtocol::advance(
   const std::uint64_t self = next.core.self();
   std::uint32_t index = 0;
   if (seq % 2 == 1) {
-    for (const SuperMsg& msg : incoming) {
+    for (const auto* frame : incoming) {
+      const SuperMsg& msg = frame->payload.super;
       if (msg.is_request) continue;
       Core::Response response;
       response.vertex = msg.resp_vertex;
@@ -527,7 +552,8 @@ std::pair<NodeProtocol::Snap, std::vector<SuperMsg>> NodeProtocol::advance(
     }
   } else {
     const int iteration = seq / 2;
-    for (const SuperMsg& msg : incoming) {
+    for (const auto* frame : incoming) {
+      const SuperMsg& msg = frame->payload.super;
       if (!msg.is_request) continue;
       Core::Request request;
       request.requester = msg.req_requester;
@@ -558,10 +584,7 @@ void NodeProtocol::emit(Outbox& out, std::span<const sim::NodeId> to,
   msg.attempt = attempt_;
   metrics_.frames_sent += to.size();
   metrics_.bits_sent += 8ull * encoded_bytes(msg) * to.size();
-  for (const sim::NodeId dest : to.first(to.size() - 1)) {
-    out.emplace_back(dest, msg);
-  }
-  out.emplace_back(to.back(), std::move(msg));
+  out.add(to, std::move(msg));
 }
 
 bool NodeProtocol::current_tag(const Message& msg) const {
@@ -569,8 +592,8 @@ bool NodeProtocol::current_tag(const Message& msg) const {
 }
 
 bool NodeProtocol::plausible(const Message& msg) const {
-  const int d = table_.dimension();
-  const std::uint64_t supernodes = table_.supernodes();
+  const int d = table_->dimension();
+  const std::uint64_t supernodes = table_->supernodes();
   switch (msg.kind) {
     case MsgKind::kCandidate:
     case MsgKind::kStateBroadcast: {
@@ -596,7 +619,7 @@ bool NodeProtocol::plausible(const Message& msg) const {
     }
     case MsgKind::kAssign:
       // Round B adds `assigned` to the fresh group and sends it the group.
-      return msg.supernode < supernodes && table_.contains(msg.assigned);
+      return msg.supernode < supernodes && table_->contains(msg.assigned);
     case MsgKind::kTableFrag:
       // A committed table becomes the next epoch's groups: every entry must
       // name a supernode and nodes of the current table.
@@ -605,15 +628,15 @@ bool NodeProtocol::plausible(const Message& msg) const {
             return entry.supernode < supernodes &&
                    std::all_of(entry.members.begin(), entry.members.end(),
                                [&](sim::NodeId id) {
-                                 return table_.contains(id);
+                                 return table_->contains(id);
                                });
           });
     case MsgKind::kLookup:
       // Lookups are forwarded toward the home supernode.
-      return msg.supernode < supernodes && table_.contains(msg.origin);
+      return msg.supernode < supernodes && table_->contains(msg.origin);
     case MsgKind::kLookupReply:
       // The home group replies to `origin`.
-      return table_.contains(msg.origin);
+      return table_->contains(msg.origin);
     default:
       return true;
   }
@@ -628,9 +651,9 @@ std::vector<sim::NodeId> NodeProtocol::peers() const {
   // flight — the frame then lands one round late and is dropped, silently
   // diverging from the in-process reference.
   std::vector<sim::NodeId> out;
-  out.reserve(table_.size());
-  for (std::uint64_t x = 0; x < table_.supernodes(); ++x) {
-    for (const sim::NodeId id : table_.group(x)) {
+  out.reserve(table_->size());
+  for (std::uint64_t x = 0; x < table_->supernodes(); ++x) {
+    for (const sim::NodeId id : table_->group(x)) {
       if (id != self_) out.push_back(id);
     }
   }

@@ -36,7 +36,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <span>
 #include <utility>
@@ -83,13 +85,91 @@ class NodeProtocol {
     bool finished = false;
   };
 
-  using Outbox = std::vector<std::pair<sim::NodeId, Message>>;
+  /// The frames one round emits: each Message once, with the destinations
+  /// of every frame in one flat id list. frames() visits each frame once
+  /// with its destination list; iterating the outbox itself visits every
+  /// (destination, frame) pair in emit order.
+  class Outbox {
+   public:
+    /// One frame and its destinations, as frames() yields it.
+    struct Frame {
+      std::span<const sim::NodeId> to;
+      const Message& msg;
+    };
+
+    /// Per-destination iterator. It keeps the pair it yields, so
+    /// `for (auto& [to, msg] : outbox)` binds `msg` to the stored frame.
+    class iterator {
+     public:
+      using value_type = std::pair<sim::NodeId, const Message&>;
+
+      iterator(const Outbox* box, std::size_t id, std::size_t frame)
+          : box_(box), id_(id), frame_(frame) {}
+      value_type& operator*() const {
+        return entry_.emplace(box_->ids_[id_], box_->messages_[frame_]);
+      }
+      iterator& operator++() {
+        if (++id_ == box_->ends_[frame_]) ++frame_;
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return id_ == other.id_; }
+
+     private:
+      const Outbox* box_;
+      std::size_t id_;
+      std::size_t frame_;
+      mutable std::optional<value_type> entry_;
+    };
+
+    /// Queues `msg` once for every id in `to`; an empty list queues
+    /// nothing, so every frame has a destination.
+    void add(std::span<const sim::NodeId> to, Message msg) {
+      if (to.empty()) return;
+      ids_.insert(ids_.end(), to.begin(), to.end());
+      ends_.push_back(ids_.size());
+      messages_.push_back(std::move(msg));
+    }
+    /// Queues a copy of `msg` for `to` alone.
+    void emplace_back(sim::NodeId to, const Message& msg) {
+      add({&to, 1}, msg);
+    }
+    void clear() {
+      messages_.clear();
+      ends_.clear();
+      ids_.clear();
+    }
+
+    [[nodiscard]] iterator begin() const { return {this, 0, 0}; }
+    [[nodiscard]] iterator end() const {
+      return {this, ids_.size(), messages_.size()};
+    }
+
+    /// The frames in emit order, each with its destination list.
+    [[nodiscard]] auto frames() const {
+      return std::views::iota(std::size_t{0}, messages_.size()) |
+             std::views::transform([this](std::size_t f) {
+               const std::size_t first = f == 0 ? 0 : ends_[f - 1];
+               return Frame{std::span(ids_).subspan(first, ends_[f] - first),
+                            messages_[f]};
+             });
+    }
+
+   private:
+    std::vector<Message> messages_;
+    std::vector<std::size_t> ends_;  ///< one past each frame's last id
+    std::vector<sim::NodeId> ids_;
+  };
 
   NodeProtocol(sim::NodeId self, dos::GroupTable initial, Config config);
+  /// Starts from a table other nodes may share: a deployment builds its
+  /// initial table once instead of once per node. Each commit gives the
+  /// node a table of its own.
+  NodeProtocol(sim::NodeId self,
+               std::shared_ptr<const dos::GroupTable> initial, Config config);
 
   /// Runs one protocol round: consumes the frames delivered for `round`
-  /// (sent in round - 1), appends outgoing (destination, frame) pairs —
-  /// heartbeats included — and advances the internal phase machine. `dead`
+  /// (sent in round - 1), appends the round's outgoing frames to `out` and
+  /// advances the internal phase machine. `dead`
   /// lists peers known dead (sorted; from the pacer's evictions or the
   /// fault plan), feeding the group-silence abort. Returns false once all
   /// epochs and the smoke phase are done (the caller may keep pacing/linger).
@@ -98,7 +178,7 @@ class NodeProtocol {
                 std::span<const sim::NodeId> dead);
 
   [[nodiscard]] bool finished() const { return metrics_.finished; }
-  [[nodiscard]] const dos::GroupTable& table() const { return table_; }
+  [[nodiscard]] const dos::GroupTable& table() const { return *table_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] sim::NodeId self() const { return self_; }
   /// Rounds one attempt of the current epoch occupies.
@@ -152,12 +232,14 @@ class NodeProtocol {
   [[nodiscard]] Snap rebuild(const SamplerState& state,
                              std::uint64_t supernode) const;
   [[nodiscard]] SamplerState freeze(const Snap& snap) const;
-  /// node_sim's advance(): one primitive round on a copy of `prev`.
+  /// node_sim's advance(): one primitive round on a copy of `prev`, fed
+  /// the round's deduplicated kSuper frames in (src, index) order.
   [[nodiscard]] std::pair<Snap, std::vector<SuperMsg>> advance(
-      const Snap& prev, const std::vector<SuperMsg>& incoming);
+      const Snap& prev,
+      std::span<const sim::Envelope<Message>* const> incoming);
 
-  /// Tags and meters one protocol frame and queues a copy of it for each
-  /// destination in `to`, in order.
+  /// Tags and meters one protocol frame, once per destination in `to`, and
+  /// queues it once for all of them.
   void emit(Outbox& out, std::span<const sim::NodeId> to, Message msg);
   /// True iff the frame belongs to the current (epoch, attempt).
   [[nodiscard]] bool current_tag(const Message& msg) const;
@@ -173,7 +255,7 @@ class NodeProtocol {
 
   sim::NodeId self_;
   Config config_;
-  dos::GroupTable table_;
+  std::shared_ptr<const dos::GroupTable> table_;
   Mode mode_ = Mode::kEpochs;
   Metrics metrics_;
 
@@ -210,8 +292,7 @@ class NodeProtocol {
 
   // Scratch buffers (recycled across rounds).
   std::vector<const sim::Envelope<Message>*> accepted_;
-  std::map<std::pair<std::uint64_t, std::uint32_t>, SuperMsg> super_dedup_;
-  std::vector<SuperMsg> super_scratch_;
+  std::vector<const sim::Envelope<Message>*> super_scratch_;  ///< kSuper
 };
 
 }  // namespace reconfnet::transport

@@ -17,8 +17,11 @@
 // The contract mirrors one bus round: the owner calls send() during its
 // round r (frames are tagged with r by the protocol), advance_round(r + 1)
 // at the boundary, and poll() to collect everything sent to it in round r.
+// One send() carries one frame to a list of destinations, so a transport
+// encodes each frame once however many receivers it has.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sim/bus.hpp"
@@ -34,12 +37,16 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
   virtual ~Transport() = default;
 
-  /// Queues one protocol frame to `to`. The frame's round/epoch/attempt tags
-  /// must already be set (NodeProtocol::emit does).
-  virtual void send(sim::NodeId to, const Message& msg) = 0;
+  /// Queues one protocol frame to every id in `to`, in order. The frame's
+  /// round/epoch/attempt tags must already be set (NodeProtocol::emit does).
+  virtual void send(std::span<const sim::NodeId> to, const Message& msg) = 0;
 
-  /// Appends every frame deliverable at the current round (sent in the
-  /// previous one) to `out`.
+  /// Queues one protocol frame to `to`.
+  void send(sim::NodeId to, const Message& msg) { send({&to, 1}, msg); }
+
+  /// Replaces `out`'s contents with every frame deliverable at the current
+  /// round (sent in the previous one). A transport may decode into the
+  /// entries `out` already holds, so a recycled inbox keeps its capacity.
   virtual void poll(std::vector<sim::Envelope<Message>>& out) = 0;
 
   /// Moves the delivery cursor to `round`.

@@ -64,42 +64,49 @@ void UdpTransport::close() {
   }
 }
 
-void UdpTransport::send(sim::NodeId to, const Message& msg) {
-  if (to == config_.self) {
-    // Loopback to ourselves without touching the socket: stage directly.
-    sim::Envelope<Message> frame;
-    frame.from = config_.self;
-    frame.to = config_.self;
-    frame.payload = msg;
-    staged_[msg.round].push_back(std::move(frame));
-    return;
-  }
-  if (to >= static_cast<sim::NodeId>(config_.nodes)) return;
+void UdpTransport::send(std::span<const sim::NodeId> to, const Message& msg) {
+  // One encoding serves the whole list.
   encode(msg, encode_scratch_);
-  if (msg.kind == MsgKind::kHeartbeat) {
+  const bool heartbeat = msg.kind == MsgKind::kHeartbeat;
+  if (heartbeat) {
     // Fire-and-forget: one link header, no channel state.
     encode_link_header(
         {LinkOp::kUnreliable, config_.self, config_.incarnation, 0},
         dgram_scratch_);
     dgram_scratch_.insert(dgram_scratch_.end(), encode_scratch_.begin(),
                           encode_scratch_.end());
-    transmit(to, dgram_scratch_, /*attempt=*/0, msg.round);
-    return;
   }
-  // Reliable frames transmit inline, BEFORE the round's trailing heartbeat
-  // hits the wire — loopback preserves per-pair datagram order, so a peer
-  // whose pacer advances on our heartbeat has already received the data
-  // frames; tick() then only handles retransmissions. The frame's round
-  // rides along as the link tag so every (re)transmission's fault-plan
-  // decision is pure in the ORIGINAL send round — a partition-dropped frame
-  // stays dropped, exactly like the in-process injector.
-  ReliableLink& link = *links_[static_cast<std::size_t>(to)];
-  link.stage(encode_scratch_, now_us_, msg.round);
-  link.for_due(now_us_,
-               [&](std::span<const std::uint8_t> bytes, std::uint32_t attempt,
-                   std::int64_t send_round) {
-                 transmit(to, bytes, attempt, send_round);
-               });
+  for (const sim::NodeId dest : to) {
+    if (dest == config_.self) {
+      // Loopback to ourselves without touching the socket: stage directly.
+      sim::Envelope<Message> frame;
+      frame.from = config_.self;
+      frame.to = config_.self;
+      frame.payload = msg;
+      staged_[msg.round].push_back(std::move(frame));
+      continue;
+    }
+    if (dest >= static_cast<sim::NodeId>(config_.nodes)) continue;
+    if (heartbeat) {
+      transmit(dest, dgram_scratch_, /*attempt=*/0, msg.round);
+      continue;
+    }
+    // Reliable frames transmit inline, BEFORE the round's trailing
+    // heartbeat hits the wire — loopback preserves per-pair datagram order,
+    // so a peer whose pacer advances on our heartbeat has already received
+    // the data frames; tick() then only handles retransmissions. The
+    // frame's round rides along as the link tag so every (re)transmission's
+    // fault-plan decision is pure in the ORIGINAL send round — a
+    // partition-dropped frame stays dropped, exactly like the in-process
+    // injector.
+    ReliableLink& link = *links_[static_cast<std::size_t>(dest)];
+    link.stage(encode_scratch_, now_us_, msg.round);
+    link.for_due(now_us_,
+                 [&](std::span<const std::uint8_t> bytes,
+                     std::uint32_t attempt, std::int64_t send_round) {
+                   transmit(dest, bytes, attempt, send_round);
+                 });
+  }
 }
 
 void UdpTransport::poll(std::vector<sim::Envelope<Message>>& out) {
@@ -107,6 +114,7 @@ void UdpTransport::poll(std::vector<sim::Envelope<Message>>& out) {
   // or never. Only the immediately preceding round's stage is released;
   // anything older missed its window (we advanced before it landed) and is
   // dropped as late rather than injected into the wrong round.
+  out.clear();
   while (!staged_.empty() && staged_.begin()->first <= round_ - 1) {
     auto& frames = staged_.begin()->second;
     if (staged_.begin()->first == round_ - 1) {

@@ -64,7 +64,8 @@ class UdpTransport final : public Transport {
   void close();
 
   // Transport contract.
-  void send(sim::NodeId to, const Message& msg) override;
+  using Transport::send;
+  void send(std::span<const sim::NodeId> to, const Message& msg) override;
   void poll(std::vector<sim::Envelope<Message>>& out) override;
   void advance_round(sim::Round round) override;
 

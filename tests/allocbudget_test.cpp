@@ -226,22 +226,25 @@ TEST(AllocBudget, TransportHeartbeatReceivePathIsAllocationFree) {
 // --- in-process hub steady state --------------------------------------------
 
 /// The in-process frame path (inproc-hub-* and inproc-endpoint hotpaths):
-/// every node polls its inbox and sends kSuper frames to the next nodes on
-/// the ring. Once the frame arenas, the bus buffers and the inbox have grown
-/// to the round's size, a frame — encoded into the arena, stepped, decoded
-/// in poll — allocates nothing. The work meter's history gains one entry per
-/// round, so the budget is per frame over the whole window.
+/// every node polls its inbox and sends kSuper frames, each to the next few
+/// nodes on the ring through one list send. Once the frame arenas, the bus
+/// buffers and the inbox have grown to the round's size, a frame — encoded
+/// into the arena once, stepped, decoded in poll at every destination —
+/// allocates nothing. The work meter's history gains one entry per round,
+/// so the budget is per frame over the whole window.
 TEST(AllocBudget, InprocHubSteadySuperRoundsAreAllocationFree) {
   ASSERT_TRUE(support::alloc_counting_available());
   const std::uint64_t nodes = budget_value("transport.inproc_round", "nodes");
   const std::uint64_t frames =
       budget_value("transport.inproc_round", "frames_per_node");
+  const std::uint64_t fanout =
+      budget_value("transport.inproc_round", "destinations_per_frame");
   const std::uint64_t warmup =
       budget_value("transport.inproc_round", "warmup_rounds");
   const std::uint64_t rounds = budget_value("transport.inproc_round", "rounds");
   const std::uint64_t budget =
       budget_value("transport.inproc_round", "allocs_per_frame");
-  ASSERT_GT(nodes, frames);
+  ASSERT_GT(nodes, frames + fanout);
 
   transport::InprocHub hub({}, 0);
   std::vector<std::unique_ptr<transport::InprocTransport>> endpoints;
@@ -253,16 +256,19 @@ TEST(AllocBudget, InprocHubSteadySuperRoundsAreAllocationFree) {
   msg.kind = transport::MsgKind::kSuper;
   msg.super.is_request = true;
   std::vector<sim::Envelope<transport::Message>> inbox;
+  std::vector<sim::NodeId> to(fanout);
   std::uint64_t received = 0;
   auto drive_round = [&](std::uint64_t round) {
     msg.round = static_cast<sim::Round>(round);
     for (std::uint64_t v = 0; v < nodes; ++v) {
-      inbox.clear();
-      endpoints[v]->poll(inbox);
+      endpoints[v]->poll(inbox);  // replaces the inbox, recycling its entries
       received += inbox.size();
       for (std::uint64_t f = 0; f < frames; ++f) {
         msg.super.index = static_cast<std::uint32_t>(f);
-        endpoints[v]->send(static_cast<sim::NodeId>((v + 1 + f) % nodes), msg);
+        for (std::uint64_t k = 0; k < fanout; ++k) {
+          to[k] = static_cast<sim::NodeId>((v + 1 + f + k) % nodes);
+        }
+        endpoints[v]->send(to, msg);
       }
     }
     hub.step();
@@ -275,12 +281,12 @@ TEST(AllocBudget, InprocHubSteadySuperRoundsAreAllocationFree) {
   const support::AllocTotals used = scope.delta();
   const std::uint64_t sent = rounds * nodes * frames;
   std::cout << "[ measured ] transport.inproc_round: " << used.allocations
-            << " allocations over " << sent << " frames (budget " << budget
-            << "/frame)\n";
+            << " allocations over " << sent << " frames to " << fanout
+            << " destinations each (budget " << budget << "/frame)\n";
   EXPECT_LE(used.allocations / sent, budget)
       << "warm in-process rounds allocated " << used.allocations
       << " times (" << used.bytes << " bytes) over " << sent << " frames";
-  EXPECT_EQ(received, (warmup + rounds - 1) * nodes * frames);
+  EXPECT_EQ(received, (warmup + rounds - 1) * nodes * frames * fanout);
 }
 
 // --- workload steady state --------------------------------------------------

@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <ranges>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dos/group_table.hpp"
@@ -602,6 +605,72 @@ TEST(InprocDeployment, CrashWithRestartRejoinsWithinTheEpoch) {
   EXPECT_GT(deployment.node(7).metrics().resyncs, 0);
 }
 
+// What MetersAndTablePinnedAt128Nodes's deployment produced when every
+// destination still got its own copy of each frame.
+constexpr sim::Round kPinnedRounds = 46;
+constexpr std::uint64_t kPinnedBits = 510376272;
+constexpr std::uint64_t kPinnedBitsHash = 0xE4DD53B1BF342568ULL;
+constexpr std::uint64_t kPinnedFrames = 461363;
+constexpr std::uint64_t kPinnedFramesHash = 0x6889CC524B028DF8ULL;
+constexpr std::uint64_t kPinnedDeliveries = 461363;
+constexpr std::uint64_t kPinnedTableHash = 0x6B6F4AB7DCA09105ULL;
+
+/// FNV-1a over 64-bit words.
+std::uint64_t fnv1a(std::span<const std::uint64_t> words) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001B3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(InprocDeployment, MetersAndTablePinnedAt128Nodes) {
+  // Per-node meters, hub deliveries and the final table of a 128-node,
+  // d = 4 deployment with the DHT smoke phase. How a frame reaches its
+  // destinations must change none of them.
+  InprocDeploymentConfig config;
+  config.nodes = 128;
+  config.dimension = 4;
+  config.protocol.epochs = 2;
+  config.protocol.dht_smoke = true;
+  InprocDeployment deployment(config);
+  const auto report = deployment.run();
+  ASSERT_TRUE(report.all_live_finished);
+  EXPECT_EQ(report.rounds, kPinnedRounds);
+
+  std::vector<std::uint64_t> bits_sent;
+  std::vector<std::uint64_t> frames_sent;
+  for (int id = 0; id < config.nodes; ++id) {
+    const auto& metrics =
+        deployment.node(static_cast<sim::NodeId>(id)).metrics();
+    bits_sent.push_back(metrics.bits_sent);
+    frames_sent.push_back(metrics.frames_sent);
+  }
+  std::uint64_t deliveries = 0;
+  for (const auto& round : deployment.hub().meter().history()) {
+    deliveries += round.total_messages;
+  }
+  std::vector<std::uint64_t> table;
+  const dos::GroupTable& final_table = deployment.node(0).table();
+  for (std::uint64_t x = 0; x < final_table.supernodes(); ++x) {
+    table.push_back(x);
+    for (const sim::NodeId id : final_table.group(x)) table.push_back(id);
+  }
+  EXPECT_EQ(std::accumulate(bits_sent.begin(), bits_sent.end(),
+                            std::uint64_t{0}),
+            kPinnedBits);
+  EXPECT_EQ(fnv1a(bits_sent), kPinnedBitsHash);
+  EXPECT_EQ(std::accumulate(frames_sent.begin(), frames_sent.end(),
+                            std::uint64_t{0}),
+            kPinnedFrames);
+  EXPECT_EQ(fnv1a(frames_sent), kPinnedFramesHash);
+  EXPECT_EQ(deliveries, kPinnedDeliveries);
+  EXPECT_EQ(fnv1a(table), kPinnedTableHash);
+}
+
 TEST(InprocHub, DropsAndCountsFramesToIdsWithoutAnEndpoint) {
   InprocHub hub({}, 0);
   InprocTransport sender(&hub, 0);
@@ -654,6 +723,138 @@ TEST(InprocHub, ArenaRecyclesChunksAndHoldsFramesLargerThanAChunk) {
   }
   EXPECT_EQ(b.counters().datagrams_received, 3 * sent.size());
   EXPECT_EQ(b.counters().decode_failures, 0u);
+}
+
+TEST(InprocHub, ListSendEqualsOneSendPerDestination) {
+  // Two hubs under one plan: a partition cuts ids below 3 off from the rest
+  // for the first two rounds, loss eats about half of the other copies, and
+  // id 9 has no endpoint. One hub gets each frame as one list send, the
+  // other once per destination.
+  fault::FaultPlan plan;
+  plan.with_partition({/*start=*/0, /*heal=*/2, /*id_below=*/3, /*salt=*/0});
+  plan.with_loss(0.5);
+  constexpr sim::NodeId kEndpoints = 8;
+  const std::vector<sim::NodeId> to = {1, 4, 2, 9, 5, 6, 3, 7, 0};
+  InprocHub list_hub(plan, 7);
+  InprocHub each_hub(plan, 7);
+  std::vector<std::unique_ptr<InprocTransport>> list_nodes;
+  std::vector<std::unique_ptr<InprocTransport>> each_nodes;
+  for (sim::NodeId id = 0; id < kEndpoints; ++id) {
+    list_nodes.push_back(std::make_unique<InprocTransport>(&list_hub, id));
+    each_nodes.push_back(std::make_unique<InprocTransport>(&each_hub, id));
+  }
+  Message msg = golden(MsgKind::kNewGroup);
+  std::vector<sim::Envelope<Message>> list_inbox;
+  std::vector<sim::Envelope<Message>> each_inbox;
+  std::uint64_t delivered = 0;
+  for (int round = 0; round < 6; ++round) {
+    msg.round = round;
+    list_nodes[0]->send(to, msg);
+    for (const sim::NodeId id : to) each_nodes[0]->send(id, msg);
+    list_hub.step();
+    each_hub.step();
+
+    std::vector<Frame> locations;
+    for (sim::NodeId id = 0; id < kEndpoints; ++id) {
+      const auto list_frames = list_hub.inbox(id);
+      const auto each_frames = each_hub.inbox(id);
+      ASSERT_EQ(list_frames.size(), each_frames.size())
+          << "round " << round << " node " << id;
+      for (std::size_t i = 0; i < list_frames.size(); ++i) {
+        const auto list_bytes = list_hub.bytes(list_frames[i].payload);
+        const auto each_bytes = each_hub.bytes(each_frames[i].payload);
+        EXPECT_TRUE(std::ranges::equal(list_bytes, each_bytes))
+            << "round " << round << " node " << id;
+        locations.push_back(list_frames[i].payload);
+      }
+      list_nodes[id]->poll(list_inbox);
+      each_nodes[id]->poll(each_inbox);
+      ASSERT_EQ(list_inbox.size(), each_inbox.size());
+      for (std::size_t i = 0; i < list_inbox.size(); ++i) {
+        EXPECT_EQ(list_inbox[i].from, each_inbox[i].from);
+        EXPECT_EQ(list_inbox[i].payload, msg);
+        EXPECT_EQ(each_inbox[i].payload, msg);
+      }
+      delivered += list_inbox.size();
+    }
+    // Every envelope of the list send points at the one encoded copy.
+    for (const Frame& frame : locations) {
+      EXPECT_EQ(frame.chunk, locations.front().chunk);
+      EXPECT_EQ(frame.offset, locations.front().offset);
+      EXPECT_EQ(frame.size, locations.front().size);
+    }
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(list_nodes[0]->counters().datagrams_sent, delivered);
+  EXPECT_EQ(each_nodes[0]->counters().datagrams_sent, delivered);
+  EXPECT_EQ(list_hub.unroutable_frames(), 6u);
+  EXPECT_EQ(each_hub.unroutable_frames(), 6u);
+
+  const PacketMangler::Counters& list_drops = list_hub.mangler().counters();
+  const PacketMangler::Counters& each_drops = each_hub.mangler().counters();
+  EXPECT_GT(list_drops.partition_drops, 0u);
+  EXPECT_GT(list_drops.lost, 0u);
+  EXPECT_EQ(list_drops.offered, each_drops.offered);
+  EXPECT_EQ(list_drops.crash_drops, each_drops.crash_drops);
+  EXPECT_EQ(list_drops.partition_drops, each_drops.partition_drops);
+  EXPECT_EQ(list_drops.lost, each_drops.lost);
+
+  const auto& list_history = list_hub.meter().history();
+  const auto& each_history = each_hub.meter().history();
+  ASSERT_EQ(list_history.size(), each_history.size());
+  for (std::size_t r = 0; r < list_history.size(); ++r) {
+    EXPECT_EQ(list_history[r].round, each_history[r].round);
+    EXPECT_EQ(list_history[r].max_node_bits, each_history[r].max_node_bits);
+    EXPECT_EQ(list_history[r].total_bits, each_history[r].total_bits);
+    EXPECT_EQ(list_history[r].sent_messages, each_history[r].sent_messages);
+    EXPECT_EQ(list_history[r].total_messages, each_history[r].total_messages);
+  }
+}
+
+// --- the outbox -------------------------------------------------------------
+
+TEST(Outbox, IteratesEveryDestinationInEmitOrder) {
+  NodeProtocol::Outbox out;
+  const Message vote = golden(MsgKind::kCommitVote);
+  const Message assign = golden(MsgKind::kAssign);
+  const Message group = golden(MsgKind::kNewGroup);
+  const std::vector<sim::NodeId> first = {4, 1, 7};
+  const std::vector<sim::NodeId> third = {2, 3};
+  out.add(first, vote);
+  out.emplace_back(5, assign);
+  out.add(third, group);
+
+  std::vector<std::pair<sim::NodeId, Message>> pairs;
+  std::vector<const Message*> stored;
+  for (auto& [to, msg] : out) {
+    pairs.emplace_back(to, msg);
+    stored.push_back(&msg);
+  }
+  const std::vector<std::pair<sim::NodeId, Message>> expected = {
+      {4, vote}, {1, vote}, {7, vote}, {5, assign}, {2, group}, {3, group}};
+  EXPECT_EQ(pairs, expected);
+  // One stored Message per frame, shared by all of its destinations.
+  ASSERT_EQ(stored.size(), 6u);
+  EXPECT_EQ(stored[0], stored[1]);
+  EXPECT_EQ(stored[0], stored[2]);
+  EXPECT_NE(stored[2], stored[3]);
+  EXPECT_NE(stored[3], stored[4]);
+  EXPECT_EQ(stored[4], stored[5]);
+
+  std::vector<std::vector<sim::NodeId>> lists;
+  std::vector<const Message*> frames;
+  for (const auto& [to, msg] : out.frames()) {
+    lists.emplace_back(to.begin(), to.end());
+    frames.push_back(&msg);
+  }
+  EXPECT_EQ(lists, (std::vector<std::vector<sim::NodeId>>{
+                       {4, 1, 7}, {5}, {2, 3}}));
+  EXPECT_EQ(frames, (std::vector<const Message*>{stored[0], stored[3],
+                                                 stored[4]}));
+
+  out.clear();
+  EXPECT_TRUE(out.begin() == out.end());
+  EXPECT_TRUE(std::ranges::empty(out.frames()));
 }
 
 // --- forged frames ----------------------------------------------------------
@@ -774,6 +975,55 @@ TEST(ForgedFrame, TableFragmentAndLookupOutOfRangeAreRejected) {
   run_attempt_with(node, /*at=*/2 * p + 4,
                    {unknown_node, unknown_supernode, lookup, legal});
   EXPECT_EQ(node.metrics().invalid_frames, 3u);
+}
+
+TEST(NodeProtocol, FirstCopyOfEachSuperMessageWinsInKeyOrder) {
+  NodeProtocol node = lone_node();
+  const sim::NodeId self = node.self();
+  NodeProtocol::Outbox out;
+  // Round 0 emits the candidate of primitive round 1. Adopting it in the
+  // synchronization round brings the node to seq 1, so round 2 is the
+  // response phase of primitive round 2, fed the requests tagged seq 1.
+  node.on_round(0, {}, out, {});
+  ASSERT_FALSE(out.begin() == out.end());
+  const Message candidate = (*out.begin()).second;
+  out.clear();
+  const std::vector<sim::Envelope<Message>> adopt = {{self, self, candidate}};
+  node.on_round(1, adopt, out, {});
+  out.clear();
+
+  auto request = [self](std::uint64_t src, std::uint32_t index,
+                        std::uint64_t requester) {
+    Message msg;
+    msg.kind = MsgKind::kSuper;
+    msg.round = 1;
+    msg.super.src = src;
+    msg.super.seq = 1;
+    msg.super.index = index;
+    msg.super.is_request = true;
+    msg.super.req_requester = requester;
+    msg.super.req_j = 1;
+    return sim::Envelope<Message>{2, self, msg};
+  };
+  // Out of key order, and a forged copy of (5, 0) and of (2, 1) after the
+  // genuine ones.
+  const std::vector<sim::Envelope<Message>> inbox = {
+      request(5, 0, 5), request(2, 1, 2), request(2, 0, 1), request(5, 0, 7),
+      request(2, 1, 6)};
+  node.on_round(2, inbox, out, {});
+
+  // advance() answers every request it is fed, in order, with a response
+  // addressed to the requester; the candidate carries those responses.
+  const Message* next = nullptr;
+  for (const auto& [to, msg] : out.frames()) {
+    if (msg.kind == MsgKind::kCandidate) next = &msg;
+  }
+  ASSERT_NE(next, nullptr);
+  std::vector<std::uint64_t> answered;
+  for (const SuperMsg& response : next->outbox) {
+    answered.push_back(response.dest);
+  }
+  EXPECT_EQ(answered, (std::vector<std::uint64_t>{1, 2, 5}));
 }
 
 // --- datagram fuzz ----------------------------------------------------------
@@ -1052,6 +1302,83 @@ TEST(UdpTransport, UnreadableReliablePayloadIsNeitherAckedNorDelivered) {
   inbox.clear();
   transport.poll(inbox);
   EXPECT_TRUE(inbox.empty());
+}
+
+/// Every datagram staged on the link of `transport` toward `peer`, with its
+/// tag, read from a copy of the link (for_due consumes transmissions) at a
+/// time when every retransmission is due.
+std::vector<std::pair<std::vector<std::uint8_t>, std::int64_t>> staged(
+    const UdpTransport& transport, sim::NodeId peer) {
+  ReliableLink link = transport.link(peer);
+  std::vector<std::pair<std::vector<std::uint8_t>, std::int64_t>> out;
+  link.for_due(std::int64_t{1} << 40,
+               [&](std::span<const std::uint8_t> bytes, std::uint32_t,
+                   std::int64_t tag) {
+                 out.emplace_back(
+                     std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
+                     tag);
+               });
+  return out;
+}
+
+TEST(UdpTransport, ListSendStagesTheSameDatagramsAsOneSendPerDestination) {
+  // One transport gets each frame as one list send, the other once per
+  // destination; the list holds the sender itself and an id past the
+  // deployment. Each sender's mangler counts its transmissions.
+  constexpr int kNodes = 4;
+  PacketMangler list_mangler({}, 1);
+  PacketMangler each_mangler({}, 1);
+  UdpConfig config;
+  config.self = 1;
+  config.nodes = kNodes;
+  config.mangler = &list_mangler;
+  UdpTransport list_udp(config);  // never opened: socket-free paths only
+  config.mangler = &each_mangler;
+  UdpTransport each_udp(config);
+
+  Message vote;
+  vote.kind = MsgKind::kCommitVote;
+  vote.round = 2;
+  vote.supernode = 3;
+  vote.complete = true;
+  Message assign = golden(MsgKind::kAssign);
+  assign.round = 2;
+  Message beat;
+  beat.kind = MsgKind::kHeartbeat;
+  beat.round = 2;
+  const std::vector<sim::NodeId> to = {3, 1, 0, 9, 2};
+  for (const Message* msg : {&vote, &beat, &assign}) {
+    list_udp.send(to, *msg);
+    for (const sim::NodeId id : to) each_udp.send(id, *msg);
+  }
+
+  for (sim::NodeId peer = 0; peer < kNodes; ++peer) {
+    if (peer == config.self) continue;
+    const auto list_staged = staged(list_udp, peer);
+    EXPECT_EQ(list_staged.size(), 2u) << "peer " << peer;
+    EXPECT_EQ(list_staged, staged(each_udp, peer)) << "peer " << peer;
+  }
+  EXPECT_EQ(list_udp.link_totals().staged, 6u);
+  EXPECT_EQ(each_udp.link_totals().staged, 6u);
+  // Two reliable frames and a heartbeat to each of three peers.
+  EXPECT_EQ(list_mangler.counters().offered, 9u);
+  EXPECT_EQ(each_mangler.counters().offered, 9u);
+
+  // The copies to self are staged for the next round, in send order.
+  list_udp.advance_round(3);
+  each_udp.advance_round(3);
+  std::vector<sim::Envelope<Message>> list_inbox;
+  std::vector<sim::Envelope<Message>> each_inbox;
+  list_udp.poll(list_inbox);
+  each_udp.poll(each_inbox);
+  ASSERT_EQ(list_inbox.size(), 3u);
+  ASSERT_EQ(each_inbox.size(), 3u);
+  const Message* sent[] = {&vote, &beat, &assign};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(list_inbox[i].from, config.self);
+    EXPECT_EQ(list_inbox[i].payload, *sent[i]);
+    EXPECT_EQ(each_inbox[i].payload, *sent[i]);
+  }
 }
 
 }  // namespace
