@@ -6,12 +6,18 @@
 // response (Phase 3), and every node accepts the responses it received
 // (Phase 4). The exchange carries these messages without sim::Bus. A round's
 // messages are bucketed by destination with a stable counting sort into one
-// flat buffer that keeps its capacity across rounds, so
+// flat buffer per message kind, so
 //   - requests reach a server in ascending sender order, then in send order;
 //   - responses reach a requester in ascending responder order, then in the
 //     requester's own send order.
 // That is the inbox order of sim::Bus, so every per-node RNG draw happens
 // where it happens over the Bus and every output matches it bit for bit.
+//
+// The response buffer keeps its capacity across rounds. The request buffer
+// is freed as soon as Phase 3 has served it, before the samplers end Phase 3
+// and build the multisets of Phase 4: iteration 1 sends the most requests
+// (m_1 per node in Algorithm 1), and holding them through Phase 4 would add
+// their size to the peak. The next Phase 2 allocates the buffer again, once.
 //
 // An optional sim::DeliveryHook sees the traffic under the Bus's contract
 // (sim/bus.hpp): on_message once per message in send order, reorder for each
@@ -49,7 +55,7 @@ struct ExchangeStats {
 };
 
 /// One round's inboxes for one message kind: slots [offsets[v], offsets[v+1])
-/// are the inbox of node v. Buffers keep their capacity across rounds.
+/// are the inbox of node v. Buffers keep their capacity until release().
 template <typename Msg>
 struct Inboxes {
   std::vector<std::size_t> offsets;
@@ -64,6 +70,11 @@ struct Inboxes {
   [[nodiscard]] std::size_t end(std::size_t v) const { return offsets[v + 1]; }
   [[nodiscard]] bool is_late(std::size_t slot) const {
     return !late.empty() && late[slot] != 0;
+  }
+  /// Frees the slots and late flags; the next seal() allocates them again.
+  void release() {
+    std::vector<Msg>().swap(slots);
+    std::vector<std::uint8_t>().swap(late);
   }
 };
 
@@ -249,7 +260,8 @@ class Exchange {
 ///   - make_requests(v, i): Phase 2's draws;
 ///   - for_each_request(v, f): calls f(to, request) per request of v in
 ///     send order; the exchange calls it twice per iteration;
-///   - serve(v, request, i) -> Response, then end_serve(v, i) (Phase 3);
+///   - serve(v, request, i) -> Response (Phase 3), then end_serve(v, i)
+///     once every node has served;
 ///   - accept(v, response), then end_accept(v) (Phase 4).
 /// Phase 4 of iteration i and Phase 2 of iteration i+1 share a round, so a
 /// node makes its next requests right after accepting, while its multiset is
@@ -305,9 +317,10 @@ ExchangeStats run_exchange(Sampler& sampler, std::size_t nodes,
         exchange.put(responses, static_cast<std::size_t>(request.requester),
                      sampler.serve(v, request, i));
       }
-      sampler.end_serve(v, i);
     }
     exchange.close(responses);
+    requests.release();
+    for (std::size_t v = 0; v < nodes; ++v) sampler.end_serve(v, i);
 
     // Phase 4: every node accepts the responses it received, then draws
     // the next iteration's requests.

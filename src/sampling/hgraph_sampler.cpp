@@ -1,5 +1,6 @@
 #include "sampling/hgraph_sampler.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "sampling/exchange.hpp"
@@ -13,43 +14,58 @@ HGraphSamplerCore::HGraphSamplerCore(std::size_t self, Schedule schedule,
       rng_(rng) {}
 
 void HGraphSamplerCore::init(std::span<const std::uint32_t> neighbors) {
-  m_.clear();
-  m_.reserve(schedule_.m0());
-  for (std::size_t j = 0; j < schedule_.m0(); ++j) {
-    const auto port = static_cast<std::size_t>(rng_.below(neighbors.size()));
-    m_.push_back({neighbors[port], 1});
+  if (neighbors.size() > 256) {  // one byte names a port
+    throw std::invalid_argument(
+        "HGraphSamplerCore::init: more than 256 ports");
   }
-  live_ = m_.size();
+  port_coded_ = true;
+  port_row_.assign(neighbors.begin(), neighbors.end());
+  m_.clear();
+  ports_.resize(schedule_.m0());
+  for (auto& port : ports_) {
+    port = static_cast<std::uint8_t>(rng_.below(neighbors.size()));
+  }
+  live_ = ports_.size();
 }
 
-bool HGraphSamplerCore::extract(WalkEntry& out) {
+bool HGraphSamplerCore::extract() {
   if (live_ == 0) {
     ++dry_events_;
     return false;
   }
   const auto index = static_cast<std::size_t>(rng_.below(live_));
   --live_;
-  std::swap(m_[index], m_[live_]);
-  out = m_[live_];
+  if (port_coded_) {
+    std::swap(ports_[index], ports_[live_]);
+  } else {
+    std::swap(m_[index], m_[live_]);
+  }
   return true;
 }
 
 void HGraphSamplerCore::make_requests(int iteration) {
   const std::size_t count = schedule_.m[static_cast<std::size_t>(iteration)];
-  WalkEntry entry;
   for (std::size_t j = 0; j < count; ++j) {
-    if (!extract(entry)) break;
+    if (!extract()) break;
   }
 }
 
 HGraphSamplerCore::Response HGraphSamplerCore::serve(const Request& request) {
-  WalkEntry entry;
-  if (!extract(entry)) return {};
+  if (!extract()) return {};
   // Splice: the requester's walk (ending here) continued by our walk.
+  const WalkEntry entry = at(live_);
   return {entry.vertex, request.requester_walk_length + entry.length};
 }
 
 void HGraphSamplerCore::discard_leftovers() {
+  if (port_coded_) {
+    // M_0 is spent. Every later M holds at most m_1 responses, one per
+    // request of an iteration (schedules never grow).
+    port_coded_ = false;
+    std::vector<std::uint32_t>().swap(port_row_);
+    std::vector<std::uint8_t>().swap(ports_);
+    if (schedule_.m.size() > 1) m_.reserve(schedule_.m[1]);
+  }
   m_.clear();
   live_ = 0;
 }
@@ -64,7 +80,11 @@ void HGraphSamplerCore::accept(const Response& response) {
 }
 
 void HGraphSamplerCore::shuffle_multiset() {
-  rng_.shuffle(std::span<WalkEntry>(m_.data(), live_));
+  if (port_coded_) {
+    rng_.shuffle(std::span<std::uint8_t>(ports_.data(), live_));
+  } else {
+    rng_.shuffle(std::span<WalkEntry>(m_.data(), live_));
+  }
 }
 
 namespace {
@@ -78,12 +98,16 @@ struct HGraphCores {
   using Response = HGraphSamplerCore::Response;
 
   std::vector<HGraphSamplerCore>& cores;
-  /// Every node's ports, `degree` per node.
-  std::span<const std::uint32_t> neighbors;
-  std::size_t degree;
+  const graph::HGraph& graph;
+  /// Port row scratch: init copies it into the core.
+  std::vector<std::uint32_t> row;
 
   void init(std::size_t v) {
-    cores[v].init(neighbors.subspan(v * degree, degree));
+    for (std::size_t p = 0; p < row.size(); ++p) {
+      row[p] = static_cast<std::uint32_t>(
+          graph.neighbor(v, static_cast<int>(p)));
+    }
+    cores[v].init(row);
   }
   void make_requests(std::size_t v, int i) { cores[v].make_requests(i); }
   template <typename F>
@@ -111,22 +135,15 @@ HGraphSamplingResult run_hgraph_sampling(const graph::HGraph& graph,
   // for responses); walk lengths are validation metadata and free.
   const std::uint64_t bits_per_msg = 1 + sim::id_bits(n - 1);
 
-  // Every node's ports, read once: M_0 draws m_0 of them per node.
-  const auto degree = static_cast<std::size_t>(graph.degree());
-  std::vector<std::uint32_t> neighbors(n * degree);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t p = 0; p < degree; ++p) {
-      neighbors[v * degree + p] = static_cast<std::uint32_t>(
-          graph.neighbor(v, static_cast<int>(p)));
-    }
-  }
   std::vector<HGraphSamplerCore> cores;
   cores.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
     cores.emplace_back(v, schedule, rng.split(v));
   }
 
-  HGraphCores sampler{cores, neighbors, degree};
+  HGraphCores sampler{cores, graph,
+                      std::vector<std::uint32_t>(
+                          static_cast<std::size_t>(graph.degree()))};
   const ExchangeStats stats = run_exchange(sampler, n, schedule.iterations,
                                            bits_per_msg, fault_hook);
 

@@ -11,10 +11,21 @@
 // of iteration i and Phase 2 of iteration i+1 share a round). Walk lengths
 // are carried as simulation-only metadata so tests can check the Lemma 5
 // invariant directly; they are not charged as message bits.
+//
+// Memory: M_0 is the largest multiset, (2+eps)^T times the final one, and
+// every entry of it is a length-1 walk to one of the node's neighbours. So
+// the core stores M_0 as one port byte per entry, next to its own copy of
+// the node's port row, and turns a port into its neighbour only when the
+// entry is sent (Phase 2) or spliced (Phase 3). At the end of iteration 1's
+// Phase 3 the port bytes and the row are freed, and from then on M holds
+// WalkEntry values in storage reserved for m_1 of them. The draws and swaps
+// are the ones an M_0 of WalkEntry values would take, so every output is the
+// same.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -56,7 +67,10 @@ class HGraphSamplerCore {
   HGraphSamplerCore(std::size_t self, Schedule schedule, support::Rng rng);
 
   /// Phase 1: fills M with m_0 uniformly random neighbors, i.e. endpoints of
-  /// walks of length 1. `neighbors[p]` is the neighbor through port p.
+  /// walks of length 1. `neighbors[p]` is the neighbor through port p. The
+  /// core keeps its own copy of the row, so it may be a temporary. M_0 holds
+  /// one port byte per entry, so a row of more than 256 ports is rejected
+  /// with std::invalid_argument.
   void init(std::span<const std::uint32_t> neighbors);
 
   /// Phase 2 of iteration i (1-based): extracts m_i entries from M; each
@@ -68,8 +82,8 @@ class HGraphSamplerCore {
   /// iteration, in extraction (send) order.
   template <typename F>
   void for_each_request(F&& f) const {
-    for (std::size_t k = m_.size(); k > live_; --k) {
-      const WalkEntry& entry = m_[k - 1];
+    for (std::size_t k = stored(); k > live_; --k) {
+      const WalkEntry entry = at(k - 1);
       f(entry.vertex, Request{self_, entry.length});
     }
   }
@@ -79,23 +93,27 @@ class HGraphSamplerCore {
   [[nodiscard]] Response serve(const Request& request);
 
   /// End of Phase 3: un-served leftovers of M are discarded (Algorithm 1
-  /// line 14 replaces M by the received responses).
+  /// line 14 replaces M by the received responses). The first call frees
+  /// M_0's port bytes and the port row.
   void discard_leftovers();
 
-  /// Phase 4: accepts one response into M (failed responses are counted but
-  /// not stored). The multiset is semantically unordered; the entry lands at
-  /// a uniformly random position so that consumers of a *prefix* of the
-  /// samples do not inherit the (value-correlated) delivery order.
+  /// Phase 4, after discard_leftovers: accepts one response into M (failed
+  /// responses are counted but not stored).
   void accept(const Response& response);
 
-  /// Shuffles the multiset in place; the standalone driver calls this after
-  /// each collection phase (Algorithm 1's M is an unordered multiset, and
+  /// Shuffles the multiset in place; the drivers call this after each
+  /// collection phase (Algorithm 1's M is an unordered multiset, and
   /// responses arrive ordered by responder, whose position correlates with
-  /// the walk endpoints).
+  /// the walk endpoints, while consumers such as Algorithm 3's sample pool
+  /// take a prefix).
   void shuffle_multiset();
 
-  [[nodiscard]] std::span<const WalkEntry> multiset() const {
-    return {m_.data(), live_};
+  /// M as walk entries, whichever way it is stored: a sized, random-access
+  /// view whose elements are WalkEntry values. It is invalidated by every
+  /// call that changes M.
+  [[nodiscard]] auto multiset() const {
+    return std::views::iota(std::size_t{0}, live_) |
+           std::views::transform([this](std::size_t k) { return at(k); });
   }
   [[nodiscard]] std::size_t dry_events() const { return dry_events_; }
   [[nodiscard]] std::size_t failed_responses() const {
@@ -108,16 +126,32 @@ class HGraphSamplerCore {
   std::uint32_t self_;
   Schedule schedule_;
   support::Rng rng_;
-  /// M is m_[0, live_); between Phase 2 and the end of Phase 3 the tail
-  /// m_[live_, size) holds this iteration's requests, last one first.
+  /// True from init to the end of iteration 1's Phase 3, while M is M_0 and
+  /// is stored in ports_: entry k is the walk of length 1 to
+  /// port_row_[ports_[k]]. Afterwards M is stored in m_.
+  bool port_coded_ = false;
+  std::vector<std::uint32_t> port_row_;
+  std::vector<std::uint8_t> ports_;
   std::vector<WalkEntry> m_;
+  /// M is entries [0, live_) of its storage; between Phase 2 and the end of
+  /// Phase 3 the tail [live_, stored()) holds this iteration's requests,
+  /// last one first.
   std::size_t live_ = 0;
   std::size_t dry_events_ = 0;
   std::size_t failed_responses_ = 0;
 
-  /// Moves a uniformly random entry of M to the front of the tail and
-  /// returns it; false (a dry event) if M is empty.
-  [[nodiscard]] bool extract(WalkEntry& out);
+  [[nodiscard]] std::size_t stored() const {
+    return port_coded_ ? ports_.size() : m_.size();
+  }
+  /// Stored entry k as a walk.
+  [[nodiscard]] WalkEntry at(std::size_t k) const {
+    if (port_coded_) return {port_row_[ports_[k]], 1};
+    return m_[k];
+  }
+
+  /// Moves a uniformly random entry of M to the front of the tail, i.e. to
+  /// index live_ after the call; false (a dry event) if M is empty.
+  [[nodiscard]] bool extract();
 };
 
 /// Result of a full standalone execution over all nodes of an H-graph.

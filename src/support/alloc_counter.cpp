@@ -4,8 +4,12 @@
 //
 // All forms forward to malloc/free (aligned forms to posix_memalign), which
 // keeps the replacement sanitizer-compatible: ASan intercepts malloc, so
-// leak and bounds checking still see every block.
+// leak and bounds checking still see every block. An unsized delete does not
+// know the size its block was asked for, so the heap level adds and
+// subtracts malloc_usable_size, which both sides can read.
 #include "support/alloc_counter.hpp"
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -22,11 +26,31 @@ std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_deallocations{0};
 // reconfnet-racecheck: allow(RNR505) single-thread harness reads the tally
 std::atomic<std::uint64_t> g_bytes{0};
+// reconfnet-racecheck: allow(RNR505) single-thread harness reads the level
+std::atomic<std::uint64_t> g_live{0};
+// reconfnet-racecheck: allow(RNR505) single-thread harness reads the peak
+std::atomic<std::uint64_t> g_peak{0};
+
+/// Adds a new block to the heap level and raises the peak to it.
+void* note_live(void* ptr) noexcept {
+  if (ptr == nullptr) return nullptr;
+  const std::uint64_t usable = malloc_usable_size(ptr);
+  const std::uint64_t live =
+      g_live.fetch_add(usable, std::memory_order_relaxed) + usable;
+  std::uint64_t peak = g_peak.load(std::memory_order_relaxed);
+  while (live > peak) {
+    // On failure the exchange reloads `peak`.
+    if (g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  return ptr;
+}
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return note_live(std::malloc(size == 0 ? 1 : size));
 }
 
 void* counted_alloc_aligned(std::size_t size, std::align_val_t align) {
@@ -39,12 +63,13 @@ void* counted_alloc_aligned(std::size_t size, std::align_val_t align) {
                      size == 0 ? 1 : size) != 0) {
     return nullptr;
   }
-  return ptr;
+  return note_live(ptr);
 }
 
 void counted_free(void* ptr) noexcept {
   if (ptr == nullptr) return;
   g_deallocations.fetch_add(1, std::memory_order_relaxed);
+  g_live.fetch_sub(malloc_usable_size(ptr), std::memory_order_relaxed);
   std::free(ptr);
 }
 
@@ -56,6 +81,16 @@ AllocTotals alloc_totals() {
   return {g_allocations.load(std::memory_order_relaxed),
           g_deallocations.load(std::memory_order_relaxed),
           g_bytes.load(std::memory_order_relaxed)};
+}
+
+HeapLevel heap_level() {
+  return {g_live.load(std::memory_order_relaxed),
+          g_peak.load(std::memory_order_relaxed)};
+}
+
+void reset_heap_peak() {
+  g_peak.store(g_live.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
 }
 
 bool alloc_counting_available() {

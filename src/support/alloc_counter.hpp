@@ -23,19 +23,36 @@ struct AllocTotals {
   std::uint64_t bytes = 0;          ///< bytes requested through operator new
 };
 
+/// The process-wide heap level. Each block counts its malloc_usable_size, so
+/// the allocator's rounding is included.
+struct HeapLevel {
+  std::uint64_t live_bytes = 0;  ///< usable bytes of the blocks now live
+  std::uint64_t peak_bytes = 0;  ///< highest live_bytes since the last reset
+};
+
 /// Snapshot of the process-wide counters (all zero when the counting
 /// allocator is not linked in).
 AllocTotals alloc_totals();
+
+/// Snapshot of the heap level.
+HeapLevel heap_level();
+
+/// Restarts the peak at the current live level.
+void reset_heap_peak();
 
 /// True when the counting operator new/delete replacement is linked into
 /// this binary (verified by a live probe allocation, not a build flag).
 bool alloc_counting_available();
 
-/// RAII measurement scope: captures the totals at construction; delta()
-/// reports the traffic since then.
+/// RAII measurement scope: captures the totals at construction and restarts
+/// the process-wide heap peak there; delta() reports the traffic since then
+/// and peak_bytes() the highest heap level above the one at construction.
 class AllocCounter {
  public:
-  AllocCounter() : start_(alloc_totals()) {}
+  AllocCounter() {
+    reset_heap_peak();
+    start_live_ = heap_level().live_bytes;
+  }
 
   /// Allocation traffic between construction and now.
   [[nodiscard]] AllocTotals delta() const {
@@ -45,8 +62,15 @@ class AllocCounter {
             now.bytes - start_.bytes};
   }
 
+  /// Most usable heap bytes live at once since construction, minus those
+  /// live at construction.
+  [[nodiscard]] std::uint64_t peak_bytes() const {
+    return heap_level().peak_bytes - start_live_;
+  }
+
  private:
-  AllocTotals start_;
+  AllocTotals start_ = alloc_totals();
+  std::uint64_t start_live_ = 0;
 };
 
 }  // namespace reconfnet::support

@@ -20,6 +20,9 @@
 
 #include "adversary/churn.hpp"
 #include "churn/overlay.hpp"
+#include "graph/hgraph.hpp"
+#include "sampling/hgraph_sampler.hpp"
+#include "sampling/schedule.hpp"
 #include "tools/hotcheck/hotcheck.hpp"
 #include "sim/bus.hpp"
 #include "sim/types.hpp"
@@ -78,6 +81,22 @@ TEST(AllocCounter, CountsAForcedAllocation) {
   delete spill;
   const support::AllocTotals done = scope.delta();
   EXPECT_GE(done.deallocations, 2u);
+}
+
+// The heap peak is a level, not a tally: it keeps the highest point after
+// the blocks that set it are freed, and a new scope starts it over.
+TEST(AllocCounter, PeakBytesOutliveTheBlocksThatSetThem) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  const std::size_t size = 1 << 20;
+  {
+    support::AllocCounter scope;
+    auto* block = new std::vector<char>(size, 1);
+    EXPECT_GE(scope.peak_bytes(), size);
+    delete block;
+    EXPECT_GE(scope.peak_bytes(), size);
+  }
+  support::AllocCounter fresh;
+  EXPECT_LT(fresh.peak_bytes(), size);
 }
 
 // --- bus steady state -------------------------------------------------------
@@ -165,6 +184,45 @@ TEST(AllocBudget, ChurnOverlaySteadyEpochStaysUnderBudget) {
       << "steady epochs allocated " << used.allocations << " times over "
       << measured_rounds << " rounds (" << per_round << "/round, budget "
       << budget << ")";
+}
+
+// --- Algorithm 1 peak heap --------------------------------------------------
+
+/// One standalone run of Algorithm 1 at the schedule a churn epoch uses. M_0
+/// is its largest multiset, stored as one port byte per entry, and the
+/// exchange frees the request buffer before Phase 4, so the peak is iteration
+/// 1's Phase 3: M_0, m_1 requests and m_1 responses per node. The budget is
+/// in heap bytes per node, above the level at the call (the graph is built
+/// before it).
+TEST(AllocBudget, HGraphSamplingPeakHeapStaysUnderBudget) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  const std::uint64_t n = budget_value("sampling.hgraph_peak", "n");
+  const std::uint64_t degree = budget_value("sampling.hgraph_peak", "degree");
+  const std::uint64_t c = budget_value("sampling.hgraph_peak", "c");
+  const std::uint64_t budget =
+      budget_value("sampling.hgraph_peak", "peak_bytes_per_node");
+  ASSERT_GT(n, 0u);
+
+  support::Rng rng(0x5A3);
+  const auto g = graph::HGraph::random(static_cast<std::size_t>(n),
+                                       static_cast<int>(degree), rng);
+  sampling::SamplingConfig config;
+  config.c = static_cast<double>(c);
+  const auto schedule = sampling::hgraph_schedule(
+      sampling::SizeEstimate::from_true_size(static_cast<std::size_t>(n)),
+      static_cast<int>(degree), config);
+  support::Rng run_rng = rng.split(1);
+
+  support::AllocCounter scope;
+  const auto result = sampling::run_hgraph_sampling(g, schedule, run_rng);
+  const std::uint64_t per_node = scope.peak_bytes() / n;
+  EXPECT_TRUE(result.success);
+  std::cout << "[ measured ] sampling.hgraph_peak: " << per_node
+            << " peak heap bytes/node at n=" << n << ", m_0=" << schedule.m0()
+            << " (budget " << budget << ")\n";
+  EXPECT_LE(per_node, budget)
+      << "one run_hgraph_sampling call peaked at " << scope.peak_bytes()
+      << " heap bytes over " << n << " nodes";
 }
 
 // --- transport heartbeat receive path ---------------------------------------

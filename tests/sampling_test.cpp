@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/hgraph.hpp"
@@ -164,6 +165,42 @@ TEST(HGraphSamplerCore, ServeSplicesWalkLengths) {
   const auto response = core.serve({7, 5});
   EXPECT_TRUE(response.ok());
   EXPECT_EQ(response.length, 6u);  // requester's 5 + our stored 1
+}
+
+TEST(HGraphSamplerCore, ServeFromM0ReturnsANeighborOneStepLonger) {
+  support::Rng rng(5);
+  const auto g = graph::HGraph::random(64, 8, rng);
+  const auto schedule = small_hgraph_schedule(64);
+  HGraphSamplerCore core(9, schedule, rng.split(1));
+  core.init(ports(g, 9));  // a temporary row: the core keeps its own copy
+  const auto nbrs = g.neighbors(9);
+  for (std::uint32_t length = 1; length <= 4; ++length) {
+    const auto response = core.serve({3, length});
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.length, length + 1);
+    EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), response.vertex),
+              nbrs.end());
+  }
+  EXPECT_EQ(core.multiset().size(), schedule.m0() - 4);
+}
+
+TEST(HGraphSamplerCore, InitRejectsMoreThan256Ports) {
+  support::Rng rng(6);
+  const auto schedule = small_hgraph_schedule(64);
+  HGraphSamplerCore core(0, schedule, rng.split(1));
+  std::vector<std::uint32_t> row(257, 1);
+  EXPECT_THROW(core.init(row), std::invalid_argument);
+  // 256 ports fit in a byte; the last one leads to vertex 2.
+  row.pop_back();
+  row.back() = 2;
+  core.init(row);
+  ASSERT_EQ(core.multiset().size(), schedule.m0());
+  std::size_t last_port = 0;
+  for (const auto& entry : core.multiset()) {
+    EXPECT_TRUE(entry.vertex == 1 || entry.vertex == 2);
+    last_port += entry.vertex == 2 ? 1 : 0;
+  }
+  EXPECT_GT(last_port, 0u);
 }
 
 TEST(HGraphSamplerCore, DryMultisetReportsFailure) {

@@ -107,10 +107,15 @@ Outcome run_churn(const Args& args, std::uint64_t seed, bool verbose) {
   std::size_t joins = 0;
   std::size_t leaves = 0;
   std::size_t members = 0;
+  std::vector<std::string> failed;  // one line per failed epoch
   for (int epoch = 0; epoch < epochs; ++epoch) {
     if (segment != nullptr) segment->set_order(overlay.cycle_order(0));
     const auto report = overlay.run_epoch(*adversary);
     failures += report.success ? 0 : 1;
+    if (!report.success) {
+      failed.push_back("epoch " + std::to_string(epoch) +
+                       " failed: " + report.failure_reason);
+    }
     disconnected |= !report.connected;
     joins += report.joins_applied;
     leaves += report.leaves_applied;
@@ -126,6 +131,7 @@ Outcome run_churn(const Args& args, std::uint64_t seed, bool verbose) {
   }
   if (verbose) {
     table.print(std::cout);
+    for (const std::string& line : failed) std::cout << line << "\n";
     std::cout << "\n"
               << (disconnected ? "DISCONNECTED" : "connected throughout")
               << ", " << failures << "/" << epochs << " epochs retried\n";
