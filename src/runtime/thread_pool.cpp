@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <exception>
 #include <limits>
@@ -13,6 +15,13 @@
 #include "support/rng.hpp"
 
 namespace reconfnet::runtime {
+
+namespace {
+
+/// Set once on each pool worker before it takes its first task.
+thread_local bool t_pool_worker = false;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
   const std::size_t count = std::max<std::size_t>(workers, 1);
@@ -76,8 +85,18 @@ void ThreadPool::wait_idle() {
 }
 
 std::size_t ThreadPool::hardware_workers() {
-  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  // A mask wider than cpu_set_t (over 1024 CPUs) fails to read; the whole
+  // machine is then the best count there is.
+  const std::size_t count =
+      sched_getaffinity(0, sizeof(mask), &mask) == 0
+          ? static_cast<std::size_t>(CPU_COUNT(&mask))
+          : std::thread::hardware_concurrency();
+  return std::max<std::size_t>(count, 1);
 }
+
+bool ThreadPool::on_worker_thread() { return t_pool_worker; }
 
 bool ThreadPool::try_acquire(std::size_t self, std::function<void()>& task) {
   // Own queue first, newest task first (cache-warm); then steal the oldest
@@ -106,6 +125,7 @@ bool ThreadPool::try_acquire(std::size_t self, std::function<void()>& task) {
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
+  t_pool_worker = true;
   while (true) {
     std::function<void()> task;
     if (try_acquire(self, task)) {

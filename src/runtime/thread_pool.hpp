@@ -6,9 +6,11 @@
 // deques to seed the initial spread.
 //
 // The pool itself makes no determinism promises — tasks run in whatever
-// order stealing produces. Determinism is the TrialRunner's job: it derives
-// each trial's RNG from the trial index alone and collects results in
-// submission order, so the schedule cannot leak into the output.
+// order stealing produces. Determinism is the caller's job: the TrialRunner
+// derives each trial's RNG from the trial index alone and collects results
+// in submission order, and the sampler exchange (sampling/exchange.hpp)
+// gives each task a fixed node range, so the schedule cannot leak into the
+// output.
 #pragma once
 
 #include <condition_variable>
@@ -49,8 +51,14 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t workers() const { return queues_.size(); }
 
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency may be 0).
+  /// The CPUs in the calling thread's affinity mask, with a floor of 1. A
+  /// host limited by a cpuset or `taskset` reports what it may use, not
+  /// every CPU of the machine; threads inherit the mask of their creator.
   static std::size_t hardware_workers();
+
+  /// True on a thread that runs tasks for some ThreadPool. A task that
+  /// could fan out again checks this so nested pools do not multiply.
+  static bool on_worker_thread();
 
  private:
   struct WorkerQueue {

@@ -13,11 +13,28 @@
 // That is the inbox order of sim::Bus, so every per-node RNG draw happens
 // where it happens over the Bus and every output matches it bit for bit.
 //
-// The response buffer keeps its capacity across rounds. The request buffer
-// is freed as soon as Phase 3 has served it, before the samplers end Phase 3
-// and build the multisets of Phase 4: iteration 1 sends the most requests
-// (m_1 per node in Algorithm 1), and holding them through Phase 4 would add
-// their size to the peak. The next Phase 2 allocates the buffer again, once.
+// Node ranges: a node's work in a phase reads only its own state and its own
+// inbox, so every per-node pass runs over W fixed node ranges
+// [n*w/W, n*(w+1)/W), one task per range. Each range counts its messages into
+// its own per-destination row, and one serial prefix sum in (destination,
+// range) order lays out the buckets: range w's senders all precede range
+// w+1's, so each inbox keeps its ascending-sender order, and each node draws
+// from its own RNG stream, so every output is the same for any W. W is the
+// number of CPUs the calling thread may run on, capped so that no range is
+// smaller than kMinRangeNodes. It is 1 under a hook, which must see the
+// messages in send order, and on a thread-pool worker, whose siblings
+// already share the CPUs; the one range then runs inline. The pool lives for
+// one run_exchange call. Storage that outlives a pass (per-node state, the
+// buffers below) is allocated and freed only on the calling thread, so the
+// workers never grow an allocator arena of their own.
+//
+// The message buffers are laid out without being zeroed (SlotAllocator):
+// put() writes every slot before anything reads it. The response buffer
+// keeps its capacity across rounds. The request buffer is freed as soon as
+// Phase 3 has served it, before the samplers end Phase 3 and build the
+// multisets of Phase 4: iteration 1 sends the most requests (m_1 per node in
+// Algorithm 1), and holding them through Phase 4 would add their size to the
+// peak. The next Phase 2 allocates the buffer again, once.
 //
 // An optional sim::DeliveryHook sees the traffic under the Bus's contract
 // (sim/bus.hpp): on_message once per message in send order, reorder for each
@@ -38,9 +55,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#include "runtime/thread_pool.hpp"
 #include "sim/bus.hpp"
 #include "sim/types.hpp"
 
@@ -52,14 +73,53 @@ struct ExchangeStats {
   std::uint64_t max_node_bits_per_round = 0;
   /// Copies a fault hook delivered after their phase had ended (discarded).
   std::size_t late_copies = 0;
+  /// Node ranges the run was split into (exchange_ranges); no other field
+  /// depends on it.
+  std::size_t ranges = 1;
 };
+
+/// The fewest nodes a range of its own is worth: below this, starting and
+/// feeding a worker costs more than the range's share of a pass.
+inline constexpr std::size_t kMinRangeNodes = 128;
+
+/// Node ranges an exchange over `nodes` nodes runs on: one per CPU in the
+/// calling thread's affinity mask, capped by nodes / kMinRangeNodes, and 1
+/// under a hook or on a thread-pool worker.
+inline std::size_t exchange_ranges(std::size_t nodes,
+                                   const sim::DeliveryHook* hook) {
+  if (hook != nullptr || runtime::ThreadPool::on_worker_thread()) return 1;
+  return std::clamp<std::size_t>(nodes / kMinRangeNodes, 1,
+                                 runtime::ThreadPool::hardware_workers());
+}
+
+/// Allocator of inbox slots whose resize() leaves new slots unwritten.
+/// seal() lays out exactly the slots that put() then fills (or marks late),
+/// so zeroing them first would only add a serial pass over the buffer; this
+/// way each page is first touched by the range that fills it.
+template <typename T>
+struct SlotAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T>);
+  SlotAllocator() = default;
+  template <typename U>
+  SlotAllocator(const SlotAllocator<U>& /*other*/) noexcept {}
+  /// Value-initialization: the slot stays as allocated.
+  template <typename U>
+  void construct(U* /*slot*/) noexcept {}
+};
+// std::allocator has no rebind member since C++20, so a container rebinds
+// to SlotAllocator itself and keeps the no-op construct.
+static_assert(std::is_same_v<
+              std::allocator_traits<SlotAllocator<int>>::rebind_alloc<long>,
+              SlotAllocator<long>>);
 
 /// One round's inboxes for one message kind: slots [offsets[v], offsets[v+1])
 /// are the inbox of node v. Buffers keep their capacity until release().
 template <typename Msg>
 struct Inboxes {
+  using Slots = std::vector<Msg, SlotAllocator<Msg>>;
+
   std::vector<std::size_t> offsets;
-  std::vector<Msg> slots;
+  Slots slots;
   /// Empty, or one flag per slot marking late copies.
   std::vector<std::uint8_t> late;
   /// Permutation scratch for hook reordering.
@@ -73,33 +133,56 @@ struct Inboxes {
   }
   /// Frees the slots and late flags; the next seal() allocates them again.
   void release() {
-    std::vector<Msg>().swap(slots);
+    Slots().swap(slots);
     std::vector<std::uint8_t>().swap(late);
   }
 };
 
-/// Delivery machinery of the exchange: counts, the stable counting sort, the
-/// hook and its delay queue, the round clock and the work meter. A round is
-/// open(), then count(from, to) once per message in send order, seal(), then
-/// put(to, msg) once per message in the same order, then close().
+/// Delivery machinery of the exchange: the node ranges and their pool,
+/// counts, the stable counting sort, the hook and its delay queue, the round
+/// clock and the work meter. A round is open(), then count(range, from, to)
+/// once per message, seal(), then put(range, to, msg) once per message in
+/// the same order, then close(). Within a range, count and put follow send
+/// order; a range touches only its own row of counts_ and the sent_ entries
+/// and slots of its own senders.
 template <typename Request, typename Response>
 class Exchange {
  public:
   Exchange(std::size_t nodes, std::uint64_t bits_per_msg,
            sim::DeliveryHook* hook)
-      : nodes_(nodes), bits_(bits_per_msg), hook_(hook) {
+      : nodes_(nodes),
+        bits_(bits_per_msg),
+        hook_(hook),
+        ranges_(exchange_ranges(nodes, hook)) {
     if (nodes > std::numeric_limits<std::uint32_t>::max()) {
       throw std::invalid_argument("Exchange: more than 2^32 nodes");
     }
-    counts_.assign(nodes, 0);
+    counts_.assign(ranges_ * nodes, 0);
     sent_.assign(nodes, 0);
-    cursor_.assign(nodes, 0);
     requests.offsets.assign(nodes + 1, 0);
     responses.offsets.assign(nodes + 1, 0);
+    if (ranges_ > 1) pool_.emplace(ranges_);
   }
 
   Inboxes<Request> requests;
   Inboxes<Response> responses;
+
+  [[nodiscard]] std::size_t ranges() const { return ranges_; }
+
+  /// One pass: calls body(range, v) for every node v, in ascending order
+  /// within its range. The one range runs inline, several as one
+  /// parallel_for on the pool.
+  template <typename Body>
+  void for_each_node(const Body& body) {
+    if (!pool_) {
+      for (std::size_t v = 0; v < nodes_; ++v) body(std::size_t{0}, v);
+      return;
+    }
+    runtime::parallel_for(*pool_, ranges_, [&](std::size_t range) {
+      const std::size_t last = first_node(range + 1);
+      for (std::size_t v = first_node(range); v < last; ++v) body(range, v);
+    });
+  }
 
   /// Starts a round: copies the hook delayed to this round land first.
   void open() {
@@ -109,17 +192,18 @@ class Exchange {
     released_ = 0;
     for (const Delayed& copy : delayed_) {
       if (copy.due != round_) continue;
-      ++counts_[copy.to];
+      ++counts_[copy.to];  // a hook means one range: row 0
       ++released_;
     }
   }
 
-  /// First pass, once per message in send order: consults the hook for the
-  /// message's fate and counts the copies that land this round.
-  void count(std::size_t from, std::size_t to) {
+  /// First pass, once per message of the range in send order: consults the
+  /// hook for the message's fate and counts the copies that land this round.
+  void count(std::size_t range, std::size_t from, std::size_t to) {
     ++sent_[from];
+    std::size_t& bucket = counts_[range * nodes_ + to];
     if (hook_ == nullptr) {
-      ++counts_[to];
+      ++bucket;
       return;
     }
     fate_.clear();
@@ -137,19 +221,25 @@ class Exchange {
     if (on_time > std::numeric_limits<std::uint8_t>::max()) {
       throw std::length_error("Exchange: a hook asked for over 255 copies");
     }
-    counts_[to] += on_time;
+    bucket += on_time;
     copies_.push_back(static_cast<std::uint8_t>(on_time));
   }
 
-  /// Between the passes: lays out the buckets and places the late copies
-  /// released this round at the head of theirs, in delay-queue order.
+  /// Between the passes: lays out the buckets by a prefix sum in
+  /// (destination, range) order, turns each count into its range's cursor,
+  /// and places the late copies released this round at the head of their
+  /// buckets, in delay-queue order.
   template <typename Msg>
   void seal(Inboxes<Msg>& box) {
     std::size_t total = 0;
     for (std::size_t v = 0; v < nodes_; ++v) {
       box.offsets[v] = total;
-      cursor_[v] = total;
-      total += counts_[v];
+      for (std::size_t range = 0; range < ranges_; ++range) {
+        std::size_t& cell = counts_[range * nodes_ + v];
+        const std::size_t count = cell;
+        cell = total;
+        total += count;
+      }
     }
     box.offsets[nodes_] = total;
     box.slots.resize(total);
@@ -162,23 +252,25 @@ class Exchange {
         delayed_[kept++] = copy;
         continue;
       }
-      const std::size_t slot = cursor_[copy.to]++;
+      const std::size_t slot = counts_[copy.to]++;
       box.slots[slot] = Msg{};
       box.late[slot] = 1;
     }
     delayed_.resize(kept);
   }
 
-  /// Second pass, once per message in the order of count(): writes the
-  /// message's on-time copies into its destination bucket.
+  /// Second pass, once per message of the range in the order of count():
+  /// writes the message's on-time copies into its destination bucket.
   template <typename Msg>
-  void put(Inboxes<Msg>& box, std::size_t to, const Msg& msg) {
+  void put(std::size_t range, Inboxes<Msg>& box, std::size_t to,
+           const Msg& msg) {
+    std::size_t& cursor = counts_[range * nodes_ + to];
     if (hook_ == nullptr) {
-      box.slots[cursor_[to]++] = msg;
+      box.slots[cursor++] = msg;
       return;
     }
     for (std::uint8_t copy = copies_[next_message_++]; copy > 0; --copy) {
-      box.slots[cursor_[to]++] = msg;
+      box.slots[cursor++] = msg;
     }
   }
 
@@ -209,6 +301,10 @@ class Exchange {
     sim::Round due = 0;
   };
 
+  [[nodiscard]] std::size_t first_node(std::size_t range) const {
+    return nodes_ * range / ranges_;
+  }
+
   template <typename Msg>
   void reorder(Inboxes<Msg>& box) {
     for (std::size_t v = 0; v < nodes_; ++v) {
@@ -224,8 +320,8 @@ class Exchange {
   }
 
   /// values[first + k] = old values[first + perm_[k]] for every k.
-  template <typename T>
-  void permute(std::vector<T>& values, std::size_t first,
+  template <typename Values, typename T>
+  void permute(Values& values, std::size_t first,
                std::vector<T>& scratch) const {
     scratch.resize(perm_.size());
     for (std::size_t k = 0; k < perm_.size(); ++k) {
@@ -238,11 +334,16 @@ class Exchange {
   std::size_t nodes_;
   std::uint64_t bits_;
   sim::DeliveryHook* hook_;
+  std::size_t ranges_;
+  /// Workers for ranges_ > 1; their threads end with the exchange.
+  std::optional<runtime::ThreadPool> pool_;
   sim::Round round_ = 0;
   std::uint64_t max_node_bits_ = 0;
-  std::vector<std::size_t> counts_;  ///< copies landing per node this round
-  std::vector<std::size_t> sent_;    ///< messages sent per node this round
-  std::vector<std::size_t> cursor_;  ///< next free slot per bucket
+  /// Row r (nodes_ entries from r * nodes_) is range r's: the copies its
+  /// senders send to each node this round, and after seal() its cursor into
+  /// that node's bucket.
+  std::vector<std::size_t> counts_;
+  std::vector<std::size_t> sent_;  ///< messages sent per node this round
   /// With a hook: on-time copies per message of this round, in send order.
   std::vector<std::uint8_t> copies_;
   std::size_t next_message_ = 0;
@@ -256,13 +357,16 @@ class Exchange {
 /// request/serve/accept iterations. The Sampler provides, for node v and
 /// iteration i:
 ///   - types Request (with a `requester` member) and Response;
-///   - init(v): Phase 1;
+///   - allocate(v), then init(v): Phase 1's storage, then its draws;
 ///   - make_requests(v, i): Phase 2's draws;
 ///   - for_each_request(v, f): calls f(to, request) per request of v in
 ///     send order; the exchange calls it twice per iteration;
 ///   - serve(v, request, i) -> Response (Phase 3), then end_serve(v, i)
 ///     once every node has served;
 ///   - accept(v, response), then end_accept(v) (Phase 4).
+/// allocate and end_serve run on the calling thread, so they may allocate
+/// and free. Every other call runs in v's range, on any thread, and may
+/// touch only v's own state, within capacity those two left.
 /// Phase 4 of iteration i and Phase 2 of iteration i+1 share a round, so a
 /// node makes its next requests right after accepting, while its multiset is
 /// still in cache; each node draws from its own stream, so the draws are the
@@ -276,68 +380,74 @@ ExchangeStats run_exchange(Sampler& sampler, std::size_t nodes,
   Exchange<Request, Response> exchange(nodes, bits_per_msg, hook);
   auto& requests = exchange.requests;
   auto& responses = exchange.responses;
-  ExchangeStats stats;
+  std::vector<std::size_t> late(exchange.ranges(), 0);  // per range
   // Phase 1, and Phase 2's draws of the first iteration.
-  for (std::size_t v = 0; v < nodes; ++v) {
+  for (std::size_t v = 0; v < nodes; ++v) sampler.allocate(v);
+  exchange.for_each_node([&](std::size_t /*range*/, std::size_t v) {
     sampler.init(v);
     if (iterations > 0) sampler.make_requests(v, 1);
-  }
+  });
   for (int i = 1; i <= iterations; ++i) {
     // Phase 2: every node sends its requests.
     exchange.open();
-    for (std::size_t v = 0; v < nodes; ++v) {
-      sampler.for_each_request(
-          v, [&](std::size_t to, const Request&) { exchange.count(v, to); });
-    }
-    exchange.seal(requests);
-    for (std::size_t v = 0; v < nodes; ++v) {
-      sampler.for_each_request(v, [&](std::size_t to, const Request& request) {
-        exchange.put(requests, to, request);
+    exchange.for_each_node([&](std::size_t range, std::size_t v) {
+      sampler.for_each_request(v, [&](std::size_t to, const Request&) {
+        exchange.count(range, v, to);
       });
-    }
+    });
+    exchange.seal(requests);
+    exchange.for_each_node([&](std::size_t range, std::size_t v) {
+      sampler.for_each_request(v, [&](std::size_t to, const Request& request) {
+        exchange.put(range, requests, to, request);
+      });
+    });
     exchange.close(requests);
 
     // Phase 3: every node answers each request it received, in inbox order.
     exchange.open();
-    for (std::size_t v = 0; v < nodes; ++v) {
+    exchange.for_each_node([&](std::size_t range, std::size_t v) {
       for (std::size_t k = requests.begin(v); k < requests.end(v); ++k) {
         if (requests.is_late(k)) continue;
         const auto requester = requests.slots[k].requester;
-        exchange.count(v, static_cast<std::size_t>(requester));
+        exchange.count(range, v, static_cast<std::size_t>(requester));
       }
-    }
+    });
     exchange.seal(responses);
-    for (std::size_t v = 0; v < nodes; ++v) {
+    exchange.for_each_node([&](std::size_t range, std::size_t v) {
       for (std::size_t k = requests.begin(v); k < requests.end(v); ++k) {
         if (requests.is_late(k)) {
-          ++stats.late_copies;
+          ++late[range];
           continue;
         }
         const Request& request = requests.slots[k];
-        exchange.put(responses, static_cast<std::size_t>(request.requester),
+        exchange.put(range, responses,
+                     static_cast<std::size_t>(request.requester),
                      sampler.serve(v, request, i));
       }
-    }
+    });
     exchange.close(responses);
     requests.release();
     for (std::size_t v = 0; v < nodes; ++v) sampler.end_serve(v, i);
 
     // Phase 4: every node accepts the responses it received, then draws
     // the next iteration's requests.
-    for (std::size_t v = 0; v < nodes; ++v) {
+    exchange.for_each_node([&](std::size_t range, std::size_t v) {
       for (std::size_t k = responses.begin(v); k < responses.end(v); ++k) {
         if (responses.is_late(k)) {
-          ++stats.late_copies;
+          ++late[range];
           continue;
         }
         sampler.accept(v, responses.slots[k]);
       }
       sampler.end_accept(v);
       if (i < iterations) sampler.make_requests(v, i + 1);
-    }
+    });
   }
+  ExchangeStats stats;
   stats.rounds = exchange.round();
   stats.max_node_bits_per_round = exchange.max_node_bits();
+  for (const std::size_t copies : late) stats.late_copies += copies;
+  stats.ranges = exchange.ranges();
   return stats;
 }
 

@@ -14,16 +14,27 @@ HGraphSamplerCore::HGraphSamplerCore(std::size_t self, Schedule schedule,
       rng_(rng) {}
 
 void HGraphSamplerCore::init(std::span<const std::uint32_t> neighbors) {
+  allocate(neighbors);
+  draw_initial();
+}
+
+void HGraphSamplerCore::allocate(std::span<const std::uint32_t> neighbors) {
   if (neighbors.size() > 256) {  // one byte names a port
     throw std::invalid_argument(
-        "HGraphSamplerCore::init: more than 256 ports");
+        "HGraphSamplerCore: more than 256 ports");
   }
   port_coded_ = true;
   port_row_.assign(neighbors.begin(), neighbors.end());
   m_.clear();
-  ports_.resize(schedule_.m0());
+  ports_.clear();
+  ports_.reserve(schedule_.m0());
+  live_ = 0;
+}
+
+void HGraphSamplerCore::draw_initial() {
+  ports_.resize(schedule_.m0());  // within the capacity allocate() reserved
   for (auto& port : ports_) {
-    port = static_cast<std::uint8_t>(rng_.below(neighbors.size()));
+    port = static_cast<std::uint8_t>(rng_.below(port_row_.size()));
   }
   live_ = ports_.size();
 }
@@ -99,16 +110,17 @@ struct HGraphCores {
 
   std::vector<HGraphSamplerCore>& cores;
   const graph::HGraph& graph;
-  /// Port row scratch: init copies it into the core.
+  /// Port row scratch: allocate copies it into the core.
   std::vector<std::uint32_t> row;
 
-  void init(std::size_t v) {
+  void allocate(std::size_t v) {
     for (std::size_t p = 0; p < row.size(); ++p) {
       row[p] = static_cast<std::uint32_t>(
           graph.neighbor(v, static_cast<int>(p)));
     }
-    cores[v].init(row);
+    cores[v].allocate(row);
   }
+  void init(std::size_t v) { cores[v].draw_initial(); }
   void make_requests(std::size_t v, int i) { cores[v].make_requests(i); }
   template <typename F>
   void for_each_request(std::size_t v, F&& f) const {
@@ -151,6 +163,7 @@ HGraphSamplingResult run_hgraph_sampling(const graph::HGraph& graph,
   result.rounds = stats.rounds;
   result.max_node_bits_per_round = stats.max_node_bits_per_round;
   result.late_copies = stats.late_copies;
+  result.ranges = stats.ranges;
   result.samples.resize(n);
   result.walk_lengths.resize(n);
   for (std::size_t v = 0; v < n; ++v) {

@@ -70,8 +70,17 @@ class HGraphSamplerCore {
   /// walks of length 1. `neighbors[p]` is the neighbor through port p. The
   /// core keeps its own copy of the row, so it may be a temporary. M_0 holds
   /// one port byte per entry, so a row of more than 256 ports is rejected
-  /// with std::invalid_argument.
+  /// with std::invalid_argument. Same as allocate(neighbors), then
+  /// draw_initial().
   void init(std::span<const std::uint32_t> neighbors);
+
+  /// Phase 1's storage: copies the port row and reserves M_0's m_0 port
+  /// bytes. Draws nothing.
+  void allocate(std::span<const std::uint32_t> neighbors);
+
+  /// Phase 1's draws, into the storage allocate() reserved; allocates
+  /// nothing, so it may run on another thread than allocate().
+  void draw_initial();
 
   /// Phase 2 of iteration i (1-based): extracts m_i entries from M; each
   /// yields a request addressed to the extracted walk endpoint. The
@@ -167,6 +176,10 @@ struct HGraphSamplingResult {
   /// Copies the fault hook delivered after their phase had ended, e.g. a
   /// request delayed into the next iteration. They are discarded unused.
   std::size_t late_copies = 0;
+  /// Node ranges the exchange ran on (sampling/exchange.hpp): one per CPU
+  /// the calling thread may use, 1 under a hook or on a pool worker. No
+  /// other field depends on it.
+  std::size_t ranges = 1;
 };
 
 /// Runs Algorithm 1 on every node of `graph` simultaneously and returns all

@@ -18,10 +18,20 @@ HypercubeSamplerCore::HypercubeSamplerCore(int dimension, std::uint64_t self,
 }
 
 void HypercubeSamplerCore::init(support::Rng& rng) {
-  for (int j = 1; j <= dimension_; ++j) {
-    auto& block = blocks_[static_cast<std::size_t>(j - 1)];
+  allocate();
+  draw_initial(rng);
+}
+
+void HypercubeSamplerCore::allocate() {
+  for (auto& block : blocks_) {
     block.clear();
     block.reserve(schedule_.m0());
+  }
+}
+
+void HypercubeSamplerCore::draw_initial(support::Rng& rng) {
+  for (int j = 1; j <= dimension_; ++j) {
+    auto& block = blocks_[static_cast<std::size_t>(j - 1)];
     const std::uint64_t flipped = self_ ^ (std::uint64_t{1} << (j - 1));
     for (std::size_t k = 0; k < schedule_.m0(); ++k) {
       block.push_back(rng.coin() ? flipped : self_);
@@ -45,22 +55,43 @@ bool HypercubeSamplerCore::extract(int j, support::Rng& rng,
 
 std::vector<std::pair<std::uint64_t, HypercubeSamplerCore::Request>>
 HypercubeSamplerCore::make_requests(int iteration, support::Rng& rng) {
+  std::vector<std::pair<std::uint64_t, Request>> requests;
+  requests.reserve(request_capacity());
+  make_requests(iteration, rng, requests);
+  return requests;
+}
+
+void HypercubeSamplerCore::make_requests(
+    int iteration, support::Rng& rng,
+    std::vector<std::pair<std::uint64_t, Request>>& out) {
   const int step = 1 << iteration;
   const int half = 1 << (iteration - 1);
   const std::size_t count = schedule_.m[static_cast<std::size_t>(iteration)];
-  std::vector<std::pair<std::uint64_t, Request>> requests;
-  // Upper bound: `count` extractions from each of the blocks this iteration
-  // touches; extraction can run dry, so the actual size may be smaller.
-  requests.reserve(count * static_cast<std::size_t>(dimension_ / step + 1));
+  out.clear();
   for (int j = 1; j <= dimension_; j += step) {
     if (j + half > dimension_) continue;  // block already complete: keep it
     for (std::size_t k = 0; k < count; ++k) {
       std::uint64_t dest = 0;
       if (!extract(j, rng, dest)) break;
-      requests.emplace_back(dest, Request{self_, j});
+      // reconfnet-hotcheck: allow(RNH404) within the request_capacity()
+      // the caller reserved
+      out.emplace_back(dest, Request{self_, j});
     }
   }
-  return requests;
+}
+
+std::size_t HypercubeSamplerCore::request_capacity() const {
+  // m_i extractions from each block iteration i touches; extraction can run
+  // dry, so an iteration may emit fewer.
+  std::size_t most = 0;
+  for (int i = 1; i <= schedule_.iterations; ++i) {
+    const int step = 1 << i;
+    const int half = 1 << (i - 1);
+    std::size_t blocks = 0;
+    for (int j = 1; j + half <= dimension_; j += step) ++blocks;
+    most = std::max(most, blocks * schedule_.m[static_cast<std::size_t>(i)]);
+  }
+  return most;
 }
 
 HypercubeSamplerCore::Response HypercubeSamplerCore::serve(
@@ -133,7 +164,8 @@ bool HypercubeSamplerCore::live_block(int j, int iterations_done) {
 namespace {
 
 /// The exchange's view of the cores: each node's own Rng stream, and the
-/// requests make_requests returned for the current iteration.
+/// requests make_requests drew for the current iteration, in a buffer
+/// allocate() sizes for the largest iteration.
 struct HypercubeCores {
   using Request = HypercubeSamplerCore::Request;
   using Response = HypercubeSamplerCore::Response;
@@ -142,9 +174,13 @@ struct HypercubeCores {
   std::vector<support::Rng>& rngs;
   std::vector<std::vector<std::pair<std::uint64_t, Request>>> pending;
 
-  void init(std::size_t v) { cores[v].init(rngs[v]); }
+  void allocate(std::size_t v) {
+    cores[v].allocate();
+    pending[v].reserve(cores[v].request_capacity());
+  }
+  void init(std::size_t v) { cores[v].draw_initial(rngs[v]); }
   void make_requests(std::size_t v, int i) {
-    pending[v] = cores[v].make_requests(i, rngs[v]);
+    cores[v].make_requests(i, rngs[v], pending[v]);
   }
   template <typename F>
   void for_each_request(std::size_t v, F&& f) const {
@@ -192,6 +228,7 @@ HypercubeSamplingResult run_hypercube_sampling(const graph::Hypercube& cube,
   HypercubeSamplingResult result;
   result.rounds = stats.rounds;
   result.max_node_bits_per_round = stats.max_node_bits_per_round;
+  result.ranges = stats.ranges;
   result.samples.resize(n);
   for (std::uint64_t v = 0; v < n; ++v) {
     result.dry_events += cores[v].dry_events();

@@ -45,14 +45,31 @@ class HypercubeSamplerCore {
   HypercubeSamplerCore(int dimension, std::uint64_t self, Schedule schedule);
 
   /// Phase 1: for every j, M_j holds m_0 entries that are `self` with
-  /// coordinate j randomized by a fair coin.
+  /// coordinate j randomized by a fair coin. Same as allocate(), then
+  /// draw_initial(rng).
   void init(support::Rng& rng);
+
+  /// Phase 1's storage: empties every block and reserves m_0 entries in
+  /// each. Draws nothing.
+  void allocate();
+
+  /// Phase 1's draws, into the storage allocate() reserved; allocates
+  /// nothing, so it may run on another thread than allocate().
+  void draw_initial(support::Rng& rng);
 
   /// Phase 2 of iteration i (1-based): extracts m_i entries from each live
   /// requester block M_j (j = 1, 1+2^i, ...; partner within range) and emits
   /// one request per entry, addressed to the entry's vertex.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, Request>> make_requests(
       int iteration, support::Rng& rng);
+
+  /// make_requests into `out`, which is cleared first. It allocates nothing
+  /// when `out` has room for request_capacity() requests.
+  void make_requests(int iteration, support::Rng& rng,
+                     std::vector<std::pair<std::uint64_t, Request>>& out);
+
+  /// The most requests make_requests emits in any iteration of the schedule.
+  [[nodiscard]] std::size_t request_capacity() const;
 
   /// Phase 3: serves a request by extracting from the partner block
   /// M_{j + 2^{i-1}} and splicing coordinate windows.
@@ -119,6 +136,8 @@ struct HypercubeSamplingResult {
   std::uint64_t max_node_bits_per_round = 0;
   /// samples[v] = uniform vertex samples collected by vertex v.
   std::vector<std::vector<std::uint64_t>> samples;
+  /// Node ranges the exchange ran on; no other field depends on it.
+  std::size_t ranges = 1;
 };
 
 /// Runs Algorithm 2 on every vertex of the hypercube simultaneously over the

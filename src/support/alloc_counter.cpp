@@ -28,6 +28,9 @@ std::atomic<std::uint64_t> g_deallocations{0};
 std::atomic<std::uint64_t> g_bytes{0};
 // reconfnet-racecheck: allow(RNR505) single-thread harness reads the level
 std::atomic<std::uint64_t> g_live{0};
+/// This thread's share of g_allocations. A trivially initialized
+/// thread_local needs no allocation of its own in an executable.
+thread_local std::uint64_t t_allocations = 0;
 // reconfnet-racecheck: allow(RNR505) single-thread harness reads the peak
 std::atomic<std::uint64_t> g_peak{0};
 
@@ -49,12 +52,14 @@ void* note_live(void* ptr) noexcept {
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   return note_live(std::malloc(size == 0 ? 1 : size));
 }
 
 void* counted_alloc_aligned(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   g_bytes.fetch_add(size, std::memory_order_relaxed);
   void* ptr = nullptr;
   const std::size_t alignment = static_cast<std::size_t>(align);
@@ -82,6 +87,8 @@ AllocTotals alloc_totals() {
           g_deallocations.load(std::memory_order_relaxed),
           g_bytes.load(std::memory_order_relaxed)};
 }
+
+std::uint64_t thread_allocations() { return t_allocations; }
 
 HeapLevel heap_level() {
   return {g_live.load(std::memory_order_relaxed),

@@ -34,6 +34,9 @@ struct HeapLevel {
 /// allocator is not linked in).
 AllocTotals alloc_totals();
 
+/// operator-new calls the calling thread has made since it started.
+std::uint64_t thread_allocations();
+
 /// Snapshot of the heap level.
 HeapLevel heap_level();
 
@@ -45,8 +48,10 @@ void reset_heap_peak();
 bool alloc_counting_available();
 
 /// RAII measurement scope: captures the totals at construction and restarts
-/// the process-wide heap peak there; delta() reports the traffic since then
-/// and peak_bytes() the highest heap level above the one at construction.
+/// the process-wide heap peak there; delta() reports the traffic since then,
+/// worker_allocations() the part of it other threads made, and peak_bytes()
+/// the highest heap level above the one at construction. Read it on the
+/// thread that built it.
 class AllocCounter {
  public:
   AllocCounter() {
@@ -62,6 +67,12 @@ class AllocCounter {
             now.bytes - start_.bytes};
   }
 
+  /// operator-new calls since construction made on threads other than the
+  /// one that built the counter, e.g. by the workers of a thread pool.
+  [[nodiscard]] std::uint64_t worker_allocations() const {
+    return delta().allocations - (thread_allocations() - start_thread_);
+  }
+
   /// Most usable heap bytes live at once since construction, minus those
   /// live at construction.
   [[nodiscard]] std::uint64_t peak_bytes() const {
@@ -70,6 +81,7 @@ class AllocCounter {
 
  private:
   AllocTotals start_ = alloc_totals();
+  std::uint64_t start_thread_ = thread_allocations();
   std::uint64_t start_live_ = 0;
 };
 

@@ -16,12 +16,16 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adversary/churn.hpp"
 #include "churn/overlay.hpp"
 #include "graph/hgraph.hpp"
+#include "graph/hypercube.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sampling/hgraph_sampler.hpp"
+#include "sampling/hypercube_sampler.hpp"
 #include "sampling/schedule.hpp"
 #include "tools/hotcheck/hotcheck.hpp"
 #include "sim/bus.hpp"
@@ -81,6 +85,28 @@ TEST(AllocCounter, CountsAForcedAllocation) {
   delete spill;
   const support::AllocTotals done = scope.delta();
   EXPECT_GE(done.deallocations, 2u);
+}
+
+// worker_allocations() is the share of the traffic made on other threads:
+// a thread that allocates shows up there, the counter's own thread does not.
+TEST(AllocCounter, SeparatesOtherThreadsAllocations) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  // Direct calls of the allocation function: unlike new-expressions, the
+  // optimizer may not elide or merge them.
+  const auto allocate_once = [] {
+    void* block = ::operator new(64);
+    asm volatile("" : "+r"(block));
+    ::operator delete(block);
+  };
+  support::AllocCounter scope;
+  allocate_once();
+  EXPECT_EQ(scope.worker_allocations(), 0u);
+  std::thread worker([&allocate_once] {
+    allocate_once();
+    allocate_once();
+  });
+  worker.join();
+  EXPECT_EQ(scope.worker_allocations(), 2u);
 }
 
 // The heap peak is a level, not a tally: it keeps the highest point after
@@ -223,6 +249,65 @@ TEST(AllocBudget, HGraphSamplingPeakHeapStaysUnderBudget) {
   EXPECT_LE(per_node, budget)
       << "one run_hgraph_sampling call peaked at " << scope.peak_bytes()
       << " heap bytes over " << n << " nodes";
+}
+
+// --- sampler exchange workers ----------------------------------------------
+
+/// Both samplers on several node ranges: the calling thread sizes every
+/// node's storage (Phase 1's port row and M_0 bytes, Algorithm 2's blocks and
+/// request buffer) and every exchange buffer, so the pool's workers only
+/// draw, count and copy. An allocation on a worker would give that thread an
+/// allocator arena of its own and raise the peak RSS.
+TEST(AllocBudget, ExchangeWorkersAllocateNothing) {
+  ASSERT_TRUE(support::alloc_counting_available());
+  if (runtime::ThreadPool::hardware_workers() < 2) {
+    GTEST_SKIP() << "only one CPU is allowed: the exchange runs one range";
+  }
+  const std::uint64_t n = budget_value("sampling.exchange_workers", "n");
+  const std::uint64_t degree =
+      budget_value("sampling.exchange_workers", "degree");
+  const std::uint64_t c = budget_value("sampling.exchange_workers", "c");
+  const std::uint64_t dimension =
+      budget_value("sampling.exchange_workers", "dimension");
+  const std::uint64_t budget =
+      budget_value("sampling.exchange_workers", "worker_allocs");
+
+  support::Rng rng(0xE8C4);
+  sampling::SamplingConfig config;
+  config.c = static_cast<double>(c);
+  const auto g = graph::HGraph::random(static_cast<std::size_t>(n),
+                                       static_cast<int>(degree), rng);
+  const auto hgraph_schedule = sampling::hgraph_schedule(
+      sampling::SizeEstimate::from_true_size(static_cast<std::size_t>(n)),
+      static_cast<int>(degree), config);
+  const graph::Hypercube cube(static_cast<int>(dimension));
+  const auto cube_schedule = sampling::hypercube_schedule(
+      sampling::SizeEstimate::from_true_size(cube.size()),
+      static_cast<int>(dimension), config);
+  support::Rng walk_rng = rng.split(1);
+  support::Rng cube_rng = rng.split(2);
+
+  support::AllocCounter walks_scope;
+  const auto walks =
+      sampling::run_hgraph_sampling(g, hgraph_schedule, walk_rng);
+  const std::uint64_t walk_allocs = walks_scope.worker_allocations();
+  support::AllocCounter cube_scope;
+  const auto cube_samples =
+      sampling::run_hypercube_sampling(cube, cube_schedule, cube_rng);
+  const std::uint64_t cube_allocs = cube_scope.worker_allocations();
+
+  EXPECT_TRUE(walks.success);
+  EXPECT_TRUE(cube_samples.success);
+  EXPECT_GE(walks.ranges, 2u);
+  EXPECT_GE(cube_samples.ranges, 2u);
+  std::cout << "[ measured ] sampling.exchange_workers: " << walk_allocs
+            << " (Algorithm 1, " << walks.ranges << " ranges) and "
+            << cube_allocs << " (Algorithm 2, " << cube_samples.ranges
+            << " ranges) worker allocations (budget " << budget << ")\n";
+  EXPECT_LE(walk_allocs, budget)
+      << "run_hgraph_sampling allocated on its worker threads";
+  EXPECT_LE(cube_allocs, budget)
+      << "run_hypercube_sampling allocated on its worker threads";
 }
 
 // --- transport heartbeat receive path ---------------------------------------

@@ -1,17 +1,23 @@
 // Tests for the request/serve/accept exchange (src/sampling/exchange.hpp):
 // both samplers match a reference that drives the same cores over sim::Bus,
-// field for field, with and without a fault hook, and a copy the hook delays
-// into another phase is discarded instead of used (DESIGN.md §4, §10).
+// field for field, with and without a fault hook, a copy the hook delays
+// into another phase is discarded instead of used (DESIGN.md §4, §10), and
+// every output is the same on any number of node ranges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "cpu_mask.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "graph/hgraph.hpp"
 #include "graph/hypercube.hpp"
+#include "runtime/thread_pool.hpp"
+#include "runtime/trial_runner.hpp"
+#include "sampling/exchange.hpp"
 #include "sampling/hgraph_sampler.hpp"
 #include "sampling/hypercube_sampler.hpp"
 #include "sampling/schedule.hpp"
@@ -362,6 +368,144 @@ TEST(Exchange, HypercubeMatchesBusReference) {
           << where;
       EXPECT_EQ(exchange.samples, bus.samples) << where;
     }
+  }
+}
+
+// --- node ranges ------------------------------------------------------------
+
+/// The range count a run over n nodes takes on `cpus` CPUs.
+std::size_t expected_ranges(std::size_t n, std::size_t cpus) {
+  return std::clamp<std::size_t>(n / kMinRangeNodes, 1, cpus);
+}
+
+/// CPU counts 1..4 that the calling thread may narrow its mask to.
+std::vector<std::size_t> cpu_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t cpus = 1; cpus <= 4; ++cpus) {
+    if (cpus <= runtime::ThreadPool::hardware_workers()) counts.push_back(cpus);
+  }
+  return counts;
+}
+
+/// Flat multisets of 4: a node sends every walk it holds as a request and
+/// has none left to serve, so extractions run dry (Lemma 7 does not hold).
+Schedule dry_schedule(int iterations) {
+  Schedule flat;
+  flat.iterations = iterations;
+  flat.m.assign(static_cast<std::size_t>(iterations) + 1, 4);
+  flat.target_walk_length = std::size_t{1} << iterations;
+  return flat;
+}
+
+// Each node range counts into its own row and the buckets are laid out in
+// (destination, range) order, so the inboxes, the per-node draws and every
+// output are the same on 1, 2, 3 or 4 ranges. n = 1000 splits unevenly.
+TEST(Exchange, HGraphOutputsAreTheSameOnAnyRangeCount) {
+  if (runtime::ThreadPool::hardware_workers() < 2) {
+    GTEST_SKIP() << "only one CPU is allowed";
+  }
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{1024},
+                              std::size_t{4096}}) {
+    support::Rng rng(n);
+    const auto g = graph::HGraph::random(n, 8, rng);
+    for (const bool dry : {false, true}) {
+      if (dry && n != 1000) continue;
+      const Schedule schedule = dry ? dry_schedule(3) : test_schedule(n);
+      HGraphSamplingResult reference;
+      for (const std::size_t cpus : cpu_counts()) {
+        const ScopedCpuMask mask(cpus);
+        ASSERT_TRUE(mask.ok());
+        support::Rng run_rng(n + 100);
+        const auto result = run_hgraph_sampling(g, schedule, run_rng);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " cpus=" + std::to_string(cpus) +
+                                  (dry ? " dry" : "");
+        EXPECT_EQ(result.ranges, expected_ranges(n, cpus)) << where;
+        if (cpus == 1) {
+          reference = result;
+          EXPECT_EQ(result.success, !dry) << where;
+          continue;
+        }
+        expect_same(result, reference, where);
+      }
+    }
+  }
+}
+
+TEST(Exchange, HypercubeOutputsAreTheSameOnAnyRangeCount) {
+  if (runtime::ThreadPool::hardware_workers() < 2) {
+    GTEST_SKIP() << "only one CPU is allowed";
+  }
+  for (const int dimension : {10, 12}) {
+    const graph::Hypercube cube(dimension);
+    const std::size_t n = cube.size();
+    SamplingConfig config;  // c = 1 keeps d = 12 quick
+    for (const bool dry : {false, true}) {
+      if (dry && dimension != 10) continue;
+      const Schedule schedule =
+          dry ? dry_schedule(ceil_log2(static_cast<std::size_t>(dimension)))
+              : hypercube_schedule(SizeEstimate::from_true_size(n), dimension,
+                                   config);
+      HypercubeSamplingResult reference;
+      for (const std::size_t cpus : cpu_counts()) {
+        const ScopedCpuMask mask(cpus);
+        ASSERT_TRUE(mask.ok());
+        support::Rng run_rng(static_cast<std::uint64_t>(dimension));
+        const auto result = run_hypercube_sampling(cube, schedule, run_rng);
+        const std::string where = "d=" + std::to_string(dimension) +
+                                  " cpus=" + std::to_string(cpus) +
+                                  (dry ? " dry" : "");
+        EXPECT_EQ(result.ranges, expected_ranges(n, cpus)) << where;
+        if (cpus == 1) {
+          reference = result;
+          EXPECT_EQ(result.success, !dry) << where;
+          continue;
+        }
+        EXPECT_EQ(result.success, reference.success) << where;
+        EXPECT_EQ(result.dry_events, reference.dry_events) << where;
+        EXPECT_EQ(result.rounds, reference.rounds) << where;
+        EXPECT_EQ(result.max_node_bits_per_round,
+                  reference.max_node_bits_per_round)
+            << where;
+        EXPECT_EQ(result.samples, reference.samples) << where;
+      }
+    }
+  }
+}
+
+// A hook must see every message in send order, so a hooked run takes one
+// range whatever the mask allows.
+TEST(Exchange, AHookedRunTakesOneRange) {
+  support::Rng rng(5);
+  const auto g = graph::HGraph::random(1024, 8, rng);
+  const auto schedule = test_schedule(1024);
+  CountingHook hook;
+  support::Rng a(6);
+  const auto hooked = run_hgraph_sampling(g, schedule, a, &hook);
+  EXPECT_EQ(hooked.ranges, 1u);
+  support::Rng b(6);
+  const auto bare = run_hgraph_sampling(g, schedule, b);
+  EXPECT_EQ(bare.ranges,
+            expected_ranges(1024, runtime::ThreadPool::hardware_workers()));
+  expect_same(hooked, bare, "hooked vs bare");
+}
+
+// A trial of a parallel TrialRunner already runs on a pool worker, so its
+// exchange takes one range instead of nesting a pool per trial.
+TEST(Exchange, ARunInsideAParallelTrialTakesOneRange) {
+  support::Rng rng(8);
+  const auto g = graph::HGraph::random(1024, 8, rng);
+  const auto schedule = test_schedule(1024);
+  runtime::TrialRunner runner(9, 2);
+  const auto results = runner.run(2, [&](runtime::TrialContext&) {
+    support::Rng run_rng(10);
+    return run_hgraph_sampling(g, schedule, run_rng);
+  });
+  support::Rng run_rng(10);
+  const auto outside = run_hgraph_sampling(g, schedule, run_rng);
+  for (const auto& result : results) {
+    EXPECT_EQ(result.ranges, 1u);
+    expect_same(result, outside, "trial vs calling thread");
   }
 }
 

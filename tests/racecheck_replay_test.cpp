@@ -8,8 +8,9 @@
 // funnels every task through worker 0's queue — plus the serial reference
 // path, and asserts the byte serialization of the results is identical
 // every time. Scenarios cover every registered parallel region shape: a raw
-// parallel_for slot fill, a TrialRunner grid over churn-overlay epochs, and
-// workload-driver trials with and without injected faults.
+// parallel_for slot fill, a TrialRunner grid over churn-overlay epochs,
+// workload-driver trials with and without injected faults, and the sampler
+// exchange's node ranges.
 //
 // The ownership tracker's own semantics (slot i written exactly once, by
 // task i; violations thrown from the submitting thread) are pinned by the
@@ -18,15 +19,22 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "adversary/churn.hpp"
 #include "churn/overlay.hpp"
+#include "cpu_mask.hpp"
+#include "graph/hgraph.hpp"
+#include "graph/hypercube.hpp"
 #include "runtime/racecheck.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/trial_runner.hpp"
+#include "sampling/hgraph_sampler.hpp"
+#include "sampling/hypercube_sampler.hpp"
+#include "sampling/schedule.hpp"
 #include "sim/snapshot.hpp"
 #include "support/rng.hpp"
 #include "workload/adapters.hpp"
@@ -196,6 +204,52 @@ TEST(RacecheckReplay, WorkloadDriverTrialsUnderFaults) {
   expect_schedule_invariant("workload-faults", [](std::size_t jobs) {
     return workload_trials(jobs, /*faults=*/true);
   });
+}
+
+/// Both samplers at n = 1024, on one node range per allowed CPU; the serial
+/// reference (jobs = 1) narrows the mask to one CPU, so it runs one range.
+std::vector<std::uint8_t> exchange_outputs(std::size_t jobs) {
+  std::optional<ScopedCpuMask> mask;
+  if (jobs == 1) mask.emplace(1);
+  std::vector<std::uint8_t> bytes;
+  support::Rng rng(0x5A3);
+  const auto g = graph::HGraph::random(1024, 8, rng);
+  sampling::SamplingConfig config;
+  config.c = 2.0;
+  support::Rng hgraph_rng = rng.split(1);
+  const auto walks = sampling::run_hgraph_sampling(
+      g,
+      sampling::hgraph_schedule(sampling::SizeEstimate::from_true_size(1024),
+                                8, config),
+      hgraph_rng);
+  append_value(bytes, walks.dry_events);
+  append_value(bytes, walks.rounds);
+  append_value(bytes, walks.max_node_bits_per_round);
+  for (std::size_t v = 0; v < walks.samples.size(); ++v) {
+    for (const std::size_t sample : walks.samples[v]) {
+      append_value(bytes, sample);
+    }
+    for (const std::size_t length : walks.walk_lengths[v]) {
+      append_value(bytes, length);
+    }
+  }
+  const graph::Hypercube cube(10);
+  support::Rng cube_rng = rng.split(2);
+  const auto cube_samples = sampling::run_hypercube_sampling(
+      cube,
+      sampling::hypercube_schedule(
+          sampling::SizeEstimate::from_true_size(cube.size()), 10, config),
+      cube_rng);
+  append_value(bytes, cube_samples.dry_events);
+  append_value(bytes, cube_samples.max_node_bits_per_round);
+  for (const auto& samples : cube_samples.samples) {
+    for (const std::uint64_t sample : samples) append_value(bytes, sample);
+  }
+  return bytes;
+}
+
+TEST(RacecheckReplay, SamplerExchangeRanges) {
+  expect_schedule_invariant("exchange", exchange_outputs);
 }
 
 // --- ownership tracker semantics --------------------------------------------

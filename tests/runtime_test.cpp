@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "cpu_mask.hpp"
 #include "runtime/json.hpp"
 #include "runtime/results.hpp"
 #include "runtime/thread_pool.hpp"
@@ -82,6 +83,45 @@ TEST(ThreadPool, WaitIdleThenReuse) {
     pool.wait_idle();
     EXPECT_EQ(counter.load(), 20 * (round + 1));
   }
+}
+
+// hardware_workers() counts the calling thread's affinity mask, so a host
+// limited by a cpuset or `taskset` reports what it may use, and the count
+// comes back with the mask. A pool's workers inherit the narrowed mask.
+TEST(ThreadPool, HardwareWorkersCountsTheAffinityMask) {
+  const std::size_t all = ThreadPool::hardware_workers();
+  if (all < 2) GTEST_SKIP() << "only one CPU is allowed";
+  {
+    const ScopedCpuMask mask(1);
+    ASSERT_TRUE(mask.ok());
+    EXPECT_EQ(ThreadPool::hardware_workers(), 1u);
+    std::size_t seen_by_worker = 0;
+    ThreadPool pool(1);
+    pool.submit(
+        [&seen_by_worker] { seen_by_worker = ThreadPool::hardware_workers(); });
+    pool.wait_idle();
+    EXPECT_EQ(seen_by_worker, 1u);
+  }
+  {
+    const ScopedCpuMask mask(2);
+    ASSERT_TRUE(mask.ok());
+    EXPECT_EQ(ThreadPool::hardware_workers(), 2u);
+  }
+  EXPECT_EQ(ThreadPool::hardware_workers(), all);
+}
+
+TEST(ThreadPool, KnowsItsOwnWorkerThreads) {
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  ThreadPool pool(2);
+  std::atomic<int> on_worker{0};
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&on_worker] {
+      if (ThreadPool::on_worker_thread()) on_worker.fetch_add(1);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(on_worker.load(), 8);
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
 // --- parallel_for -----------------------------------------------------------
