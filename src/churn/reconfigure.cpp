@@ -72,6 +72,40 @@ sim::Round settle(fault::ReliableChannel<Payload>& channel,
   return used;
 }
 
+/// Runs one of the one-round phases (1, 3b, 4) over the one transport the
+/// epoch uses: sends(link) issues the phase's messages through
+/// link.send(from, to, msg, bits), and on_receive(to, msg) sees every
+/// delivery. A bare epoch steps one Bus once and reads the inboxes of
+/// `receivers` in their order. A reliable epoch settles a ReliableChannel
+/// over the sorted union of `receivers` and the old members' indices, where
+/// the acks land. Returns the rounds spent.
+template <typename Msg, typename Sends, typename OnReceive>
+sim::Round run_phase(const ReconfigInput& input, std::size_t n,
+                     sim::WorkMeter& meter,
+                     const std::vector<sim::NodeId>& receivers,
+                     const Sends& sends, const OnReceive& on_receive) {
+  if (input.reliable_settle_rounds > 0) {
+    fault::ReliableChannel<Msg> channel(&meter, input.fault_hook);
+    sends(channel);
+    std::vector<sim::NodeId> drained(n);
+    for (std::size_t v = 0; v < n; ++v) drained[v] = v;
+    drained.insert(drained.end(), receivers.begin(), receivers.end());
+    std::sort(drained.begin(), drained.end());
+    drained.erase(std::unique(drained.begin(), drained.end()), drained.end());
+    return settle(channel, drained, input.reliable_settle_rounds, on_receive);
+  }
+  sim::Bus<Msg> bus(&meter);
+  bus.set_fault_hook(input.fault_hook);
+  sends(bus);
+  bus.step();
+  for (const sim::NodeId node : receivers) {
+    for (const auto& envelope : bus.inbox(node)) {
+      on_receive(node, envelope.payload);
+    }
+  }
+  return 1;
+}
+
 }  // namespace
 
 ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
@@ -154,55 +188,37 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
   }
   rounds += sampling_rounds;
 
-  // Reliable mode: the one-round phases below retransmit under a
-  // ReliableChannel until acked or the settle budget runs out.
-  const bool reliable = input.reliable_settle_rounds > 0;
-  // Dense receiver list shared by the reliable phases: data flows between
-  // old-member indices in phases 1 and 3b, and acks always return to them.
+  // Old members' indices: the senders of every one-round phase, and the
+  // receivers of Phases 1 and 3b.
   std::vector<sim::NodeId> indices(n);
   for (std::size_t v = 0; v < n; ++v) indices[v] = v;
 
   // --- Phase 1: send ids to sampled targets (one round bare; a reliable
   // epoch spends settle rounds collecting acks) -----------------------------
-  std::vector<std::vector<PlaceMsg>> place_msgs(n);
-  sim::Bus<PlaceMsg> place_bus(&meter);
-  place_bus.set_fault_hook(input.fault_hook);
-  fault::ReliableChannel<PlaceMsg> place_channel(&meter, input.fault_hook);
-  {
-    std::vector<std::size_t> cursor(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (int c = 0; c < cycles; ++c) {
-        for (sim::NodeId id : placements[v]) {
-          if (cursor[v] >= sample_pool[v].size()) {
-            return fail("sample pool exhausted", rounds, max_bits);
-          }
-          const std::size_t target = sample_pool[v][cursor[v]++];
-          if (reliable) {
-            place_channel.send(v, target, PlaceMsg{c, id},
-                               node_id_bits + sim::id_bits(n - 1));
-          } else {
-            place_bus.send(v, target, PlaceMsg{c, id},
-                           node_id_bits + sim::id_bits(n - 1));
-          }
-        }
-      }
-    }
-    if (reliable) {
-      rounds += settle(place_channel, indices, input.reliable_settle_rounds,
-                       [&](sim::NodeId to, PlaceMsg msg) {
-                         place_msgs[static_cast<std::size_t>(to)].push_back(
-                             msg);
-                       });
-    } else {
-      place_bus.step();
-      rounds += 1;
-      for (std::size_t v = 0; v < n; ++v) {
-        for (const auto& envelope : place_bus.inbox(v)) {
-          place_msgs[v].push_back(envelope.payload);
-        }
-      }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (placements[v].size() * static_cast<std::size_t>(cycles) >
+        sample_pool[v].size()) {
+      return fail("sample pool exhausted", rounds, max_bits);
     }
   }
+  std::vector<std::vector<PlaceMsg>> place_msgs(n);
+  rounds += run_phase<PlaceMsg>(
+      input, n, meter, indices,
+      [&](auto& link) {
+        for (std::size_t v = 0; v < n; ++v) {
+          std::size_t cursor = 0;
+          for (int c = 0; c < cycles; ++c) {
+            for (sim::NodeId id : placements[v]) {
+              const std::size_t target = sample_pool[v][cursor++];
+              link.send(v, target, PlaceMsg{c, id},
+                        node_id_bits + sim::id_bits(n - 1));
+            }
+          }
+        }
+      },
+      [&](sim::NodeId to, const PlaceMsg& msg) {
+        place_msgs[static_cast<std::size_t>(to)].push_back(msg);
+      });
 
   // --- Phase 2: collect and permute (local) --------------------------------
   // permuted[c][v] = the permutation (u_1, ..., u_m) held by node v.
@@ -257,62 +273,41 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
   rounds += search_rounds;
 
   // --- Phase 3b: exchange boundary elements (one round) --------------------
-  sim::Bus<BoundaryMsg> boundary_bus(&meter);
-  boundary_bus.set_fault_hook(input.fault_hook);
-  fault::ReliableChannel<BoundaryMsg> boundary_channel(&meter,
-                                                       input.fault_hook);
-  for (int c = 0; c < cycles; ++c) {
-    const auto& search = searches[static_cast<std::size_t>(c)];
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto& bucket = permuted[static_cast<std::size_t>(c)][v];
-      if (bucket.empty()) continue;
-      // Our u_m goes to the closest active successor (as their u_0); our u_1
-      // goes to the closest active predecessor (as their u_{m+1}).
-      if (reliable) {
-        boundary_channel.send(v, search.next_active[v],
-                              BoundaryMsg{c, true, bucket.back()},
-                              node_id_bits);
-        boundary_channel.send(v, search.prev_active[v],
-                              BoundaryMsg{c, false, bucket.front()},
-                              node_id_bits);
-      } else {
-        boundary_bus.send(v, search.next_active[v],
-                          BoundaryMsg{c, true, bucket.back()}, node_id_bits);
-        boundary_bus.send(v, search.prev_active[v],
-                          BoundaryMsg{c, false, bucket.front()}, node_id_bits);
-      }
-    }
-  }
-
   std::vector<std::vector<sim::NodeId>> u0(static_cast<std::size_t>(cycles)),
       u_next(static_cast<std::size_t>(cycles));
   for (auto& per_cycle : u0) per_cycle.assign(n, sim::kNoNode);
   for (auto& per_cycle : u_next) per_cycle.assign(n, sim::kNoNode);
-  const auto apply_boundary = [&](sim::NodeId to, const BoundaryMsg& msg) {
-    const auto c = static_cast<std::size_t>(msg.cycle);
-    const auto v = static_cast<std::size_t>(to);
-    if (msg.from_predecessor) {
-      u0[c][v] = msg.id;
-    } else {
-      u_next[c][v] = msg.id;
-    }
-  };
-  if (reliable) {
-    rounds += settle(boundary_channel, indices, input.reliable_settle_rounds,
-                     apply_boundary);
-  } else {
-    boundary_bus.step();
-    rounds += 1;
-    for (std::size_t v = 0; v < n; ++v) {
-      for (const auto& envelope : boundary_bus.inbox(v)) {
-        apply_boundary(v, envelope.payload);
-      }
-    }
-  }
+  rounds += run_phase<BoundaryMsg>(
+      input, n, meter, indices,
+      [&](auto& link) {
+        for (int c = 0; c < cycles; ++c) {
+          const auto& search = searches[static_cast<std::size_t>(c)];
+          for (std::size_t v = 0; v < n; ++v) {
+            const auto& bucket = permuted[static_cast<std::size_t>(c)][v];
+            if (bucket.empty()) continue;
+            // Our u_m goes to the closest active successor (as their u_0);
+            // our u_1 goes to the closest active predecessor (as their
+            // u_{m+1}).
+            link.send(v, search.next_active[v],
+                      BoundaryMsg{c, true, bucket.back()}, node_id_bits);
+            link.send(v, search.prev_active[v],
+                      BoundaryMsg{c, false, bucket.front()}, node_id_bits);
+          }
+        }
+      },
+      [&](sim::NodeId to, const BoundaryMsg& msg) {
+        const auto c = static_cast<std::size_t>(msg.cycle);
+        const auto v = static_cast<std::size_t>(to);
+        if (msg.from_predecessor) {
+          u0[c][v] = msg.id;
+        } else {
+          u_next[c][v] = msg.id;
+        }
+      });
 
   // The new membership (deterministic placement order) is known before
-  // Phase 4 runs; building the index here lets the reliable arm bucket
-  // deliveries by new index as they arrive. The index maps arbitrary
+  // Phase 4 runs; building the index here lets Phase 4 bucket deliveries by
+  // new index as they arrive. The index maps arbitrary
   // (sparse) surviving ids to dense new indices, so it cannot itself be an
   // index-addressed table; it is built and queried once per reconfiguration,
   // not per round.
@@ -333,60 +328,38 @@ ReconfigResult reconfigure(const ReconfigInput& input, support::Rng& rng) {
   const std::size_t new_n = new_members.size();
 
   // --- Phase 4: tell every placed id its new neighbors (one round) ---------
-  std::vector<std::vector<NeighborMsg>> neighbor_msgs(new_n);
-  sim::Bus<NeighborMsg> neighbor_bus(&meter);
-  neighbor_bus.set_fault_hook(input.fault_hook);
-  fault::ReliableChannel<NeighborMsg> neighbor_channel(&meter,
-                                                       input.fault_hook);
   for (int c = 0; c < cycles; ++c) {
+    const auto cs = static_cast<std::size_t>(c);
     for (std::size_t v = 0; v < n; ++v) {
-      const auto& bucket = permuted[static_cast<std::size_t>(c)][v];
-      if (bucket.empty()) continue;
-      const auto cs = static_cast<std::size_t>(c);
+      if (permuted[cs][v].empty()) continue;
       if (u0[cs][v] == sim::kNoNode || u_next[cs][v] == sim::kNoNode) {
         return fail("missing boundary element", rounds, max_bits);
       }
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const sim::NodeId pred =
-            (i == 0) ? u0[cs][v] : bucket[i - 1];
-        const sim::NodeId succ =
-            (i + 1 == bucket.size()) ? u_next[cs][v] : bucket[i + 1];
-        if (reliable) {
-          neighbor_channel.send(v, bucket[i], NeighborMsg{c, pred, succ},
-                                2 * node_id_bits);
-        } else {
-          neighbor_bus.send(v, bucket[i], NeighborMsg{c, pred, succ},
-                            2 * node_id_bits);
+    }
+  }
+  std::vector<std::vector<NeighborMsg>> neighbor_msgs(new_n);
+  rounds += run_phase<NeighborMsg>(
+      input, n, meter, new_members,
+      [&](auto& link) {
+        for (int c = 0; c < cycles; ++c) {
+          const auto cs = static_cast<std::size_t>(c);
+          for (std::size_t v = 0; v < n; ++v) {
+            const auto& bucket = permuted[cs][v];
+            for (std::size_t i = 0; i < bucket.size(); ++i) {
+              const sim::NodeId pred = (i == 0) ? u0[cs][v] : bucket[i - 1];
+              const sim::NodeId succ =
+                  (i + 1 == bucket.size()) ? u_next[cs][v] : bucket[i + 1];
+              link.send(v, bucket[i], NeighborMsg{c, pred, succ},
+                        2 * node_id_bits);
+            }
+          }
         }
-      }
-    }
-  }
-  if (reliable) {
-    // Data lands on placed ids, acks return to the sender indices; the
-    // receiver list is the sorted union of both id spaces.
-    std::vector<sim::NodeId> receivers = indices;
-    receivers.insert(receivers.end(), new_members.begin(), new_members.end());
-    std::sort(receivers.begin(), receivers.end());
-    receivers.erase(std::unique(receivers.begin(), receivers.end()),
-                    receivers.end());
-    rounds += settle(neighbor_channel, receivers,
-                     input.reliable_settle_rounds,
-                     [&](sim::NodeId to, NeighborMsg msg) {
-                       // reconfnet-hotcheck: allow(RNH403) sparse-id remap
-                       const auto it = new_index.find(to);
-                       if (it != new_index.end()) {
-                         neighbor_msgs[it->second].push_back(msg);
-                       }
-                     });
-  } else {
-    neighbor_bus.step();
-    rounds += 1;
-    for (std::size_t index = 0; index < new_members.size(); ++index) {
-      for (const auto& envelope : neighbor_bus.inbox(new_members[index])) {
-        neighbor_msgs[index].push_back(envelope.payload);
-      }
-    }
-  }
+      },
+      [&](sim::NodeId to, const NeighborMsg& msg) {
+        // reconfnet-hotcheck: allow(RNH403) sparse-id remap
+        const auto it = new_index.find(to);
+        if (it != new_index.end()) neighbor_msgs[it->second].push_back(msg);
+      });
 
   // --- Assemble and validate the new topology ------------------------------
   // Each id fills its own successor-table cells from the Phase 4 messages it

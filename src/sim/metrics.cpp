@@ -30,13 +30,26 @@ void WorkMeter::note_received(NodeId node, std::uint64_t bits) {
 
 void WorkMeter::note_dropped() { ++current_dropped_; }
 
-void WorkMeter::note_injected_drop() { ++current_injected_drops_; }
+void WorkMeter::note_fate(NodeId to, std::uint64_t bits,
+                          std::span<const Round> deliveries) {
+  if (deliveries.empty()) {
+    ++current_injected_drops_;
+    return;
+  }
+  current_duplicated_ += deliveries.size() - 1;
+  for (const Round delay : deliveries) {
+    if (delay > 0) {
+      ++current_deferred_;
+    } else {
+      note_received(to, bits);
+    }
+  }
+}
 
-void WorkMeter::note_duplicated() { ++current_duplicated_; }
-
-void WorkMeter::note_deferred() { ++current_deferred_; }
-
-void WorkMeter::note_released() { ++current_released_; }
+void WorkMeter::note_released(std::uint64_t landing, std::uint64_t dropped) {
+  current_released_ += landing + dropped;
+  current_dropped_ += dropped;
+}
 
 void WorkMeter::finish_round(Round round) {
   RoundWork agg;

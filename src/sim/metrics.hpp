@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -62,13 +63,16 @@ class WorkMeter {
   void note_received(NodeId node, std::uint64_t bits);
   void note_dropped();
 
-  // Fault-injection events (see RoundWork): a copy dropped by the hook, an
-  // extra copy created by the hook, a copy parked in the bus delay queue,
-  // and a delayed copy leaving the queue at its delivery round.
-  void note_injected_drop();
-  void note_duplicated();
-  void note_deferred();
-  void note_released();
+  // Fault-injection events (see RoundWork). note_fate charges the fate a
+  // DeliveryHook gave one message to `to`: one entry per copy, the first
+  // the message and the rest duplicates, each received now (0) or parked in
+  // the delay queue (k > 0); no entry means the hook dropped it.
+  // note_released counts the delayed copies leaving the queue at their
+  // delivery round: `landing` are delivered, `dropped` find their receiver
+  // blocked.
+  void note_fate(NodeId to, std::uint64_t bits,
+                 std::span<const Round> deliveries);
+  void note_released(std::uint64_t landing, std::uint64_t dropped);
 
   /// Closes the current round: aggregates counters into the history and
   /// resets the per-node state.

@@ -19,6 +19,7 @@
 #include "fault/retry.hpp"
 #include "graph/hgraph.hpp"
 #include "runtime/trial_runner.hpp"
+#include "sim/blocked.hpp"
 #include "sim/bus.hpp"
 #include "sim/metrics.hpp"
 #include "support/rng.hpp"
@@ -42,11 +43,21 @@ FaultPlan nasty_plan() {
 }
 
 /// Drives `rounds` rounds of all-to-all probe traffic over `n` nodes and
-/// returns a digest of every delivery in order.
+/// returns a digest of every delivery in order. `blocked[r]` is the
+/// adversary's blocked set in round r; rounds past its end block nobody.
 std::string traffic_digest(FaultInjector& injector, std::size_t n,
-                           int rounds, sim::WorkMeter* meter) {
+                           int rounds, sim::WorkMeter* meter,
+                           const std::vector<sim::BlockedSet>& blocked = {}) {
+  static const sim::BlockedSet kNone;
+  const auto blocked_in = [&](sim::Round r) -> const sim::BlockedSet& {
+    const auto index = static_cast<std::size_t>(r);
+    return index < blocked.size() ? blocked[index] : kNone;
+  };
   sim::Bus<Probe> bus(meter);
   bus.set_fault_hook(&injector);
+  const auto step = [&] {
+    bus.step(blocked_in(bus.round()), blocked_in(bus.round() + 1));
+  };
   std::string digest;
   int tag = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -56,7 +67,7 @@ std::string traffic_digest(FaultInjector& injector, std::size_t n,
         bus.send(v, w, Probe{tag++}, 8);
       }
     }
-    bus.step();
+    step();
     for (std::size_t v = 0; v < n; ++v) {
       for (const auto& envelope : bus.inbox(v)) {
         digest += std::to_string(envelope.from) + ">" +
@@ -67,7 +78,7 @@ std::string traffic_digest(FaultInjector& injector, std::size_t n,
   }
   // Drain the delay queue so deferred copies are accounted too.
   while (bus.delayed_pending() > 0) {
-    bus.step();
+    step();
     for (std::size_t v = 0; v < n; ++v) {
       for (const auto& envelope : bus.inbox(v)) {
         digest += std::to_string(envelope.from) + ">" +
@@ -276,6 +287,59 @@ TEST(FaultInjector, ConservationHoldsUnderFaults) {
                  round.deferred_messages > 0;
   }
   EXPECT_TRUE(any_fault) << "the nasty plan injected nothing";
+}
+
+/// FNV-1a over the bytes of `text`, then over the 8 bytes of each word.
+std::uint64_t fnv1a(const std::string& text,
+                    const std::vector<std::uint64_t>& words = {}) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&](std::uint64_t byte) {
+    hash = (hash ^ byte) * 1099511628211ull;
+  };
+  for (const char c : text) mix(static_cast<unsigned char>(c));
+  for (const std::uint64_t word : words) {
+    for (int shift = 0; shift < 64; shift += 8) mix((word >> shift) & 0xFF);
+  }
+  return hash;
+}
+
+// Pins the Bus's deliveries and metering under mixed faults with an
+// adversary that blocks on some rounds, so a change to the fault path
+// cannot hide behind comparisons of the Bus with itself (bare against
+// hooked, one job against four). Blocking continues into the drain rounds,
+// where delayed copies are released to blocked receivers and dropped.
+TEST(FaultInjector, DigestAndMeterHistoryArePinnedUnderBlocking) {
+  std::vector<sim::BlockedSet> blocked(12);
+  blocked[1].insert(2);
+  blocked[3].insert(0);
+  blocked[3].insert(5);
+  blocked[4].insert(5);
+  blocked[6].insert(1);
+  blocked[7].insert(3);
+  blocked[7].insert(6);
+  blocked[8].insert(4);
+  sim::WorkMeter meter;
+  FaultInjector injector(nasty_plan(), support::Rng(13));
+  const std::string digest = traffic_digest(injector, 8, 6, &meter, blocked);
+  std::vector<std::uint64_t> history;
+  for (const auto& round : meter.history()) {
+    EXPECT_TRUE(round.conserved()) << "round " << round.round;
+    history.insert(history.end(),
+                   {static_cast<std::uint64_t>(round.round),
+                    round.max_node_bits, round.total_bits,
+                    round.sent_messages, round.total_messages,
+                    round.dropped_messages, round.injected_drops,
+                    round.duplicated_messages, round.deferred_messages,
+                    round.released_messages});
+  }
+  ASSERT_EQ(meter.history().size(), 8u);
+  // The drain rounds send nothing: their drops are released copies whose
+  // receiver was blocked when they landed.
+  EXPECT_GT(meter.history()[6].dropped_messages +
+                meter.history()[7].dropped_messages,
+            0u);
+  EXPECT_EQ(fnv1a(digest), 14578523092062534128ull);
+  EXPECT_EQ(fnv1a("", history), 7477065346670697298ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -265,6 +265,21 @@ TEST(ProtocheckRules, Rnp308FlagsPhaseOrderViolations) {
   EXPECT_EQ(result.findings.size(), 2u);
 }
 
+TEST(ProtocheckRules, GenericHelperIsCheckedAtEachCall) {
+  pc::Spec spec;
+  spec.messages.push_back(
+      message("PingMsg", "src/fx/phase.cpp", {"kPingBits"}));
+  const auto result =
+      run_fixture("generic_helper.cpp", "src/fx/phase.cpp", spec);
+  // The helper's own Bus<Msg> is not a message type. Each call binds it:
+  // PingMsg counts as sent and consumed (no orphan), the drifted send of the
+  // second call fires, and the call with an undeclared type does. The
+  // helper steps after every call's sends, so no send is late.
+  EXPECT_EQ(lines_of(result, "RNP306"), (Lines{23}));
+  EXPECT_EQ(lines_of(result, "RNP301"), (Lines{25}));
+  EXPECT_EQ(result.findings.size(), 2u);
+}
+
 TEST(ProtocheckRules, Rnp309AcceptsAndRejectsPinnedConstants) {
   pc::ConstantSpec pinned;
   pinned.name = "fixture.pinned_bits";

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "audit/audit.hpp"
+#include "sim/blocked.hpp"
 #include "sim/bus.hpp"
 #include "sim/metrics.hpp"
 #include "sim/snapshot.hpp"
@@ -192,6 +195,125 @@ TEST(Bus, MetersDroppedMessages) {
   EXPECT_EQ(meter.history()[0].dropped_messages, 1u);
   // Sender is still charged for the send attempt.
   EXPECT_EQ(meter.history()[0].max_node_bits, 100u);
+}
+
+/// Delays every message by one round.
+class DelayEveryMessage final : public DeliveryHook {
+ public:
+  void on_message(NodeId, NodeId, Round,
+                  std::vector<Round>& deliveries) override {
+    deliveries.push_back(1);
+  }
+  bool reorder(NodeId, Round, std::size_t, std::vector<std::size_t>&) override {
+    return false;
+  }
+  void on_step(Round) override {}
+};
+
+TEST(Bus, DelayedCopyToReceiverBlockedInItsDeliveryRoundIsDropped) {
+  // A hook-delayed copy re-checks the receiver side of the blocking rule in
+  // the round it actually lands: blocked then, it is released and dropped.
+  for (const bool blocked_late : {false, true}) {
+    WorkMeter meter;
+    Bus<int> bus(&meter);
+    DelayEveryMessage hook;
+    bus.set_fault_hook(&hook);
+    bus.send(1, 2, 7, 40);
+    bus.step();
+    EXPECT_TRUE(bus.inbox(2).empty());
+    EXPECT_EQ(bus.delayed_pending(), 1u);
+    BlockedSet delivery;
+    if (blocked_late) delivery.insert(2);
+    bus.step(BlockedSet{}, delivery);
+    EXPECT_EQ(bus.delayed_pending(), 0u);
+    ASSERT_EQ(meter.history().size(), 2u);
+    const auto& sent = meter.history()[0];
+    EXPECT_EQ(sent.deferred_messages, 1u);
+    EXPECT_TRUE(sent.conserved());
+    const auto& landed = meter.history()[1];
+    EXPECT_EQ(landed.released_messages, 1u);
+    EXPECT_TRUE(landed.conserved());
+    if (blocked_late) {
+      EXPECT_TRUE(bus.inbox(2).empty());
+      EXPECT_EQ(landed.dropped_messages, 1u);
+      EXPECT_EQ(landed.total_messages, 0u);
+      EXPECT_EQ(landed.total_bits, 0u);
+    } else {
+      ASSERT_EQ(bus.inbox(2).size(), 1u);
+      EXPECT_EQ(bus.inbox(2)[0].payload, 7);
+      EXPECT_EQ(landed.dropped_messages, 0u);
+      EXPECT_EQ(landed.total_messages, 1u);
+      EXPECT_EQ(landed.total_bits, 40u);
+    }
+  }
+}
+
+/// Delays the first message two rounds and every later one by one round.
+class DelayFirstMessageLonger final : public DeliveryHook {
+ public:
+  void on_message(NodeId, NodeId, Round,
+                  std::vector<Round>& deliveries) override {
+    deliveries.push_back(messages_++ == 0 ? 2 : 1);
+  }
+  bool reorder(NodeId, Round, std::size_t, std::vector<std::size_t>&) override {
+    return false;
+  }
+  void on_step(Round) override {}
+
+ private:
+  int messages_ = 0;
+};
+
+TEST(Bus, DelayedCopyKeepsItsPayloadWhileOthersAreReleased) {
+  // The copy at the head of the delay queue stays there while the one
+  // behind it is released; a payload that owns memory must survive that.
+  Bus<std::vector<int>> bus;
+  DelayFirstMessageLonger hook;
+  bus.set_fault_hook(&hook);
+  bus.send(1, 2, {1, 2, 3}, 8);
+  bus.send(1, 3, {4, 5}, 8);
+  bus.step();
+  bus.step();
+  ASSERT_EQ(bus.inbox(3).size(), 1u);
+  EXPECT_EQ(bus.inbox(3)[0].payload, (std::vector<int>{4, 5}));
+  bus.step();
+  ASSERT_EQ(bus.inbox(2).size(), 1u);
+  EXPECT_EQ(bus.inbox(2)[0].payload, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Bus, SparseHighIdsReceiveInSendOrder) {
+  // Overlay ids are allocated once and never reused, so a bus may address a
+  // few ids far above the number of live nodes. Each inbox holds its
+  // messages in send order, whatever the senders' ids.
+  constexpr NodeId kHigh = 100'003;
+  constexpr NodeId kMid = 40'961;
+  WorkMeter meter;
+  Bus<int> bus(&meter);
+  bus.send(90'000, kHigh, 1, 8);
+  bus.send(5, kMid, 2, 8);
+  bus.send(3, kHigh, 3, 8);
+  bus.send(kHigh, 5, 4, 8);
+  bus.step();
+  ASSERT_EQ(bus.inbox(kHigh).size(), 2u);
+  EXPECT_EQ(bus.inbox(kHigh)[0].from, 90'000u);
+  EXPECT_EQ(bus.inbox(kHigh)[0].payload, 1);
+  EXPECT_EQ(bus.inbox(kHigh)[1].from, 3u);
+  EXPECT_EQ(bus.inbox(kHigh)[1].payload, 3);
+  ASSERT_EQ(bus.inbox(kMid).size(), 1u);
+  EXPECT_EQ(bus.inbox(kMid)[0].payload, 2);
+  ASSERT_EQ(bus.inbox(5).size(), 1u);
+  EXPECT_EQ(bus.inbox(5)[0].from, kHigh);
+  EXPECT_TRUE(bus.inbox(3).empty());
+  EXPECT_TRUE(bus.inbox(kMid + 1).empty());
+  EXPECT_TRUE(bus.inbox(kHigh + 1).empty());
+  EXPECT_TRUE(bus.inbox(kNoNode - 1).empty());
+  EXPECT_EQ(meter.history().at(0).total_messages, 4u);
+  // The next round addresses only low ids; the high ones are empty again.
+  bus.send(kHigh, 1, 5, 8);
+  bus.step();
+  ASSERT_EQ(bus.inbox(1).size(), 1u);
+  EXPECT_TRUE(bus.inbox(kHigh).empty());
+  EXPECT_TRUE(bus.inbox(kMid).empty());
 }
 
 TEST(WorkMeter, TracksMaxAcrossRounds) {

@@ -218,6 +218,10 @@ struct Driver::Extraction {
     std::size_t decl_tok = 0;   // declaration token index
     std::string var;
     std::string msg;            // template argument's final identifier
+    /// Non-empty when `msg` is a type parameter of the function template
+    /// holding the binding: that function's name. Such a generic bus is
+    /// bound to a message at each call `owner<Msg>(...)` instead.
+    std::string generic_owner;
     std::vector<SendSite> sends;
     std::vector<std::size_t> inbox_lines;
     std::vector<Event> events;
@@ -280,6 +284,66 @@ void Driver::Extraction::collect_global(const std::string& path) {
   }
 }
 
+namespace {
+
+/// The name of the function template whose body holds token `at` and whose
+/// template parameter list declares the type `param`; empty if the nearest
+/// template header before `at` is not such a function's.
+std::string template_owner(const std::vector<Tok>& toks, std::size_t at,
+                           const std::string& param) {
+  for (std::size_t t = at; t-- > 0;) {
+    if (toks[t].text != "template" || !tok_is(toks, t + 1, "<")) continue;
+    const std::size_t past = skip_angles(toks, t + 1);
+    bool declares = false;
+    for (std::size_t j = t + 2; j + 1 < past; ++j) {
+      declares |= (toks[j].text == "typename" || toks[j].text == "class") &&
+                  toks[j + 1].text == param;
+    }
+    std::size_t open = past;
+    while (open < toks.size() && toks[open].text != "(" &&
+           toks[open].text != "{" && toks[open].text != ";")
+      ++open;
+    if (!declares || open >= toks.size() || toks[open].text != "(" ||
+        toks[open - 1].kind != Tok::Kind::kIdent)
+      return {};
+    std::size_t body = match_bracket(toks, open);
+    while (body < toks.size() && toks[body].text != "{" &&
+           toks[body].text != ";")
+      ++body;
+    if (body >= toks.size() || toks[body].text != "{" ||
+        match_bracket(toks, body) < at)
+      return {};
+    return toks[open - 1].text;
+  }
+  return {};
+}
+
+/// The normalized bits argument of send(from, to, payload, bits), with
+/// `open` at its '('; empty when the call does not parse. The argument list
+/// splits at top-level commas (brace/paren/bracket depth aware; template
+/// arguments with commas would mis-split, but bits expressions do not
+/// contain them).
+std::string send_bits(const std::vector<Tok>& toks, std::size_t open) {
+  const std::size_t close = match_bracket(toks, open);
+  if (close >= toks.size()) return {};
+  std::vector<std::pair<std::size_t, std::size_t>> args;
+  std::size_t arg_begin = open + 1;
+  int depth = 0;
+  for (std::size_t j = open + 1; j < close; ++j) {
+    if (bracket_is_open(toks[j].text)) ++depth;
+    if (bracket_is_close(toks[j].text)) --depth;
+    if (depth == 0 && toks[j].text == ",") {
+      args.emplace_back(arg_begin, j);
+      arg_begin = j + 1;
+    }
+  }
+  args.emplace_back(arg_begin, close);
+  if (args.size() != 4) return {};
+  return normalize_range(toks, args[3].first, args[3].second);
+}
+
+}  // namespace
+
 void Driver::Extraction::collect_bindings_and_events(const std::string& path) {
   const std::vector<Tok>& toks = tokens.at(path);
 
@@ -305,6 +369,7 @@ void Driver::Extraction::collect_bindings_and_events(const std::string& path) {
     binding.decl_tok = past;
     binding.var = toks[past].text;
     binding.msg = msg;
+    binding.generic_owner = template_owner(toks, i, msg);
     bindings.push_back(std::move(binding));
   }
 
@@ -397,33 +462,48 @@ void Driver::Extraction::collect_bindings_and_events(const std::string& path) {
     } else if (method == "step") {
       binding->events.push_back({Event::Kind::kStep, toks[i].line, 0});
     } else if (method == "send") {
-      // send(from, to, payload, bits): split the argument list at top-level
-      // commas (brace/paren/bracket depth aware; template arguments with
-      // commas would mis-split, but bits expressions do not contain them).
-      const std::size_t open = i + 3;
-      const std::size_t close = match_bracket(toks, open);
-      SendSite site;
-      site.line = toks[i].line;
-      if (close < toks.size()) {
-        std::vector<std::pair<std::size_t, std::size_t>> args;
-        std::size_t arg_begin = open + 1;
-        int depth = 0;
-        for (std::size_t j = open + 1; j < close; ++j) {
-          if (bracket_is_open(toks[j].text)) ++depth;
-          if (bracket_is_close(toks[j].text)) --depth;
-          if (depth == 0 && toks[j].text == ",") {
-            args.emplace_back(arg_begin, j);
-            arg_begin = j + 1;
-          }
-        }
-        args.emplace_back(arg_begin, close);
-        if (args.size() == 4) {
-          site.bits = normalize_range(toks, args[3].first, args[3].second);
-        }
-      }
+      SendSite site{toks[i].line, send_bits(toks, i + 3)};
       binding->events.push_back(
           {Event::Kind::kSend, site.line, binding->sends.size()});
       binding->sends.push_back(std::move(site));
+    }
+  }
+
+  // Pass 4: calls `owner<Msg>(...)` of a function template that holds a
+  // generic bus. Each call binds that bus to Msg: the send sites among the
+  // call's arguments are Msg's sends, followed by the template's steps, and
+  // the template's inbox reads consume Msg.
+  const std::size_t own_end = bindings.size();
+  for (std::size_t b = first_binding; b < own_end; ++b) {
+    for (std::size_t k = 0; k + 1 < toks.size(); ++k) {
+      if (bindings[b].generic_owner.empty() ||
+          toks[k].text != bindings[b].generic_owner ||
+          !tok_is(toks, k + 1, "<"))
+        continue;
+      const std::size_t past = skip_angles(toks, k + 1);
+      if (past >= toks.size() || toks[past].text != "(") continue;
+      Binding call;
+      call.file = path;
+      call.line = toks[k].line;
+      call.decl_tok = k;
+      call.var = bindings[b].var;
+      for (std::size_t j = k + 2; j + 1 < past && toks[j].text != ","; ++j) {
+        if (toks[j].kind == Tok::Kind::kIdent) call.msg = toks[j].text;
+      }
+      const std::size_t close = match_bracket(toks, past);
+      for (std::size_t j = past + 1; j + 3 < close; ++j) {
+        if (toks[j].kind == Tok::Kind::kIdent && toks[j + 1].text == "." &&
+            toks[j + 2].text == "send" && toks[j + 3].text == "(") {
+          call.events.push_back(
+              {Event::Kind::kSend, toks[j].line, call.sends.size()});
+          call.sends.push_back({toks[j].line, send_bits(toks, j + 3)});
+        }
+      }
+      for (const Event& event : bindings[b].events) {
+        if (event.kind == Event::Kind::kStep) call.events.push_back(event);
+      }
+      call.inbox_lines = bindings[b].inbox_lines;
+      if (!call.msg.empty()) bindings.push_back(std::move(call));
     }
   }
 }
@@ -590,7 +670,9 @@ Driver::Result Driver::run() {
 
   for (const Extraction::Binding& binding : ex.bindings) {
     const MessageSpec* spec = resolve(binding);
-    if (spec == nullptr) {
+    if (!binding.generic_owner.empty()) {
+      // Checked through the bindings of its owner's calls.
+    } else if (spec == nullptr) {
       raw.push_back(
           {binding.file, binding.line, "RNP301",
            "message type '" + binding.msg +

@@ -20,8 +20,11 @@
 // The checker extracts the actual send/handle graph from the sources — every
 // `Bus<Msg>` binding, every `.send(from, to, payload, bits)` call with its
 // bits expression, every `.inbox(...)` consumption, every `.step(...)`
-// (including step-alias lambdas such as `step_bus` that wrap `bus.step`) —
-// and reports:
+// (including step-alias lambdas such as `step_bus` that wrap `bus.step`).
+// A `Bus<T>` whose T is a type parameter of the function template holding
+// it is bound at each call `helper<Msg>(...)`: the sends among the call's
+// arguments are Msg's, then come the helper's steps, and its inbox reads
+// consume Msg. The checker reports:
 //
 //   RNP301  Bus<T> binding whose message type the spec does not declare
 //   RNP302  spec message never sent anywhere in the tree (orphan)

@@ -65,6 +65,13 @@ struct Outcome {
   std::vector<double> values;
 };
 
+/// The line naming why `epoch` failed, printed after a run's table.
+template <typename Report>
+std::string failure_line(int epoch, const Report& report) {
+  return "epoch " + std::to_string(epoch) +
+         " failed: " + report.failure_reason;
+}
+
 Outcome run_churn(const Args& args, std::uint64_t seed, bool verbose) {
   churn::ChurnOverlay::Config config;
   config.initial_size = args.get_size("n", 256);
@@ -112,10 +119,7 @@ Outcome run_churn(const Args& args, std::uint64_t seed, bool verbose) {
     if (segment != nullptr) segment->set_order(overlay.cycle_order(0));
     const auto report = overlay.run_epoch(*adversary);
     failures += report.success ? 0 : 1;
-    if (!report.success) {
-      failed.push_back("epoch " + std::to_string(epoch) +
-                       " failed: " + report.failure_reason);
-    }
+    if (!report.success) failed.push_back(failure_line(epoch, report));
     disconnected |= !report.connected;
     joins += report.joins_applied;
     leaves += report.leaves_applied;
@@ -183,10 +187,12 @@ Outcome run_dos(const Args& args, std::uint64_t seed, bool verbose) {
   std::size_t disconnected = 0;
   std::size_t silenced = 0;
   double min_avail = 1.0;
+  std::vector<std::string> failed;  // one line per failed epoch
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const auto report = args.has("static")
                             ? overlay.run_static(attack, 16)
                             : overlay.run_epoch(attack);
+    if (!report.success) failed.push_back(failure_line(epoch, report));
     disconnected += report.disconnected_rounds;
     silenced += report.silenced_group_rounds;
     min_avail = std::min(min_avail, report.min_available_fraction);
@@ -204,6 +210,7 @@ Outcome run_dos(const Args& args, std::uint64_t seed, bool verbose) {
   }
   if (verbose) {
     table.print(std::cout);
+    for (const std::string& line : failed) std::cout << line << "\n";
     std::cout << "\n"
               << (disconnected == 0 ? "non-blocked nodes stayed connected"
                                     : "DISCONNECTED")
@@ -240,8 +247,10 @@ Outcome run_combined(const Args& args, std::uint64_t seed, bool verbose) {
   double splits = 0.0;
   double merges = 0.0;
   std::size_t members = 0;
+  std::vector<std::string> failed;  // one line per failed epoch
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const auto report = overlay.run_epoch(churn, attack);
+    if (!report.success) failed.push_back(failure_line(epoch, report));
     disconnected += report.disconnected_rounds;
     splits += report.split_merge.splits;
     merges += report.split_merge.merges;
@@ -259,6 +268,7 @@ Outcome run_combined(const Args& args, std::uint64_t seed, bool verbose) {
   }
   if (verbose) {
     table.print(std::cout);
+    for (const std::string& line : failed) std::cout << line << "\n";
     std::cout << "\n"
               << (disconnected == 0 ? "non-blocked nodes stayed connected"
                                     : "DISCONNECTED")
