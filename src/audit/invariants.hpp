@@ -86,9 +86,11 @@ inline constexpr double kGroupSizeLoFactor = 0.2;
 inline constexpr double kGroupSizeHiFactor = 6.0;
 
 /// Combined GroupTable audit: partition plus size bounds, with lo/hi scaled
-/// by `gamma` (the overlay's group_c constant).
+/// by `gamma` (the overlay's group_c constant). The groups of a k-ary cube
+/// average between gamma * log2 n and `arity` times that
+/// (dos::choose_dimension), so hi also scales by arity / 2.
 [[nodiscard]] std::vector<Violation> check_group_table(
-    const dos::GroupTable& groups, double gamma);
+    const dos::GroupTable& groups, double gamma, int arity = 2);
 
 // --- Supernode labels and Equation (1) (Section 6) -------------------------
 
@@ -122,13 +124,6 @@ inline constexpr double kGroupSizeHiFactor = 6.0;
 
 /// Conservation over a meter's whole history.
 [[nodiscard]] std::vector<Violation> check_bus_conservation(
-    const sim::WorkMeter& meter);
-
-/// No phantom deliveries: in no round does the number of delivered messages
-/// exceed the number that legitimately entered its boundary (sent, duplicated
-/// by the hook, or released from the delay queue). Message loss alone can
-/// never raise the delivered count.
-[[nodiscard]] std::vector<Violation> check_no_phantom_deliveries(
     const sim::WorkMeter& meter);
 
 /// The Section 1.1 blocking rule for one *delivered* message: the sender must

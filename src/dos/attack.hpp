@@ -1,9 +1,10 @@
-// The t-late attack round of the grouped overlays (DoS, combined and k-ary
-// DHT): each round the r-bounded adversary blocks from the topology as it
-// was at least t rounds ago (Section 1.1), and a group acts only through its
-// available members (Lemma 17). AttackRounds keeps what that needs across
-// rounds; each overlay keeps only what differs (connectivity, crashes and
-// churn, the fault hook's clock, its work formulas).
+// The t-late attack round of the grouped overlays (DosOverlay at any arity,
+// so also the k-ary DHT overlay, and the combined overlay): each round the
+// r-bounded adversary blocks from the topology as it was at least t rounds
+// ago (Section 1.1), and a group acts only through its available members
+// (Lemma 17). AttackRounds keeps what that needs across rounds; each overlay
+// keeps only what differs (connectivity, crashes and churn, the fault
+// hook's clock, its work formulas).
 #pragma once
 
 #include <algorithm>

@@ -1,10 +1,10 @@
-// The group-level epoch of Section 5, shared by every grouped overlay: the
-// DoS overlay, the combined overlay of Section 6 and the k-ary DHT overlay
-// of Section 7.2. Each group R(x) simulates Algorithm 2 for its supernode x
-// (Lemma 14), and the final phase sends the i-th member of R(x) to the i-th
-// sample of x. The overlays differ only in what a round costs and who is
-// blocked in it, so each passes its own round step to the one sampler
-// exchange below.
+// The group-level epoch of Section 5, shared by every grouped overlay:
+// dos::DosOverlay (Section 5, and at arity k the DHT overlay of Section 7.2)
+// and the combined overlay of Section 6. Each group R(x) simulates
+// Algorithm 2 for its supernode x (Lemma 14), and the final phase sends the
+// i-th member of R(x) to the i-th sample of x. The overlays differ only in
+// what a round costs and who is blocked in it, so each passes its own round
+// step to the one sampler exchange below.
 #pragma once
 
 #include <cstddef>

@@ -1,21 +1,61 @@
 #include "dos/overlay.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
 #include "dos/group_epoch.hpp"
-#include "graph/connectivity.hpp"
 
 namespace reconfnet::dos {
 
-DosOverlay::DosOverlay(const Config& config)
+DosOverlay::DosOverlay(const Config& config, std::uint64_t salt)
     : config_(config),
+      salt_(salt),
       rng_(config.seed),
+      cube_(config.arity,
+            choose_dimension(config.size, config.arity, config.group_c)),
       groups_(GroupTable::random(
-          choose_dimension(config.size, /*arity=*/2, config.group_c),
+          cube_.dimension() *
+              std::countr_zero(static_cast<unsigned>(config.arity)),
           config.size, rng_)) {
-  rounds_.push_snapshot(groups_.all_nodes(), groups_.overlay_edges());
+  rounds_.push_snapshot(groups_.all_nodes(), kept_edges());
+}
+
+std::vector<std::pair<sim::NodeId, sim::NodeId>> DosOverlay::kept_edges()
+    const {
+  if (!config_.snapshot_edges) return {};
+  return overlay_edges();
+}
+
+graph::NeighborVisitor DosOverlay::adjacency() const {
+  // Digit i of vertex x is bits [i * bits, (i + 1) * bits) of x.
+  return [d = cube_.dimension(),
+          bits = std::countr_zero(static_cast<unsigned>(cube_.arity()))](
+             std::size_t x, const std::function<void(std::size_t)>& visit) {
+    const std::size_t top = (std::size_t{1} << bits) - 1;
+    for (int shift = 0; shift < d * bits; shift += bits) {
+      const std::size_t digit = (x >> shift) & top;
+      for (std::size_t value = 0; value <= top; ++value) {
+        if (value != digit) visit(x ^ ((value ^ digit) << shift));
+      }
+    }
+  };
+}
+
+bool DosOverlay::group_available(
+    std::uint64_t x, std::size_t round,
+    std::span<const sim::BlockedSet> blocked_per_round) const {
+  static const sim::BlockedSet kNone;
+  const auto at = [&](std::size_t r) -> const sim::BlockedSet& {
+    return r < blocked_per_round.size() ? blocked_per_round[r] : kNone;
+  };
+  const auto& now = at(round);
+  const auto& before = at(round - 1);  // wraps past the end at round 0
+  return std::ranges::any_of(groups_.group(x), [&](sim::NodeId node) {
+    return available(node, now, before);
+  });
 }
 
 void DosOverlay::advance_round(const Attack& attack,
@@ -34,10 +74,11 @@ void DosOverlay::advance_round(const Attack& attack,
       report.max_node_bits_per_round, max_load * state_bits + extra_group_bits);
 
   // Connectivity of the overlay restricted to non-blocked nodes.
-  if (!graph::groups_connected_excluding(groups_.groups(), groups_.adjacency(),
+  if (!graph::groups_connected_excluding(groups_.groups(), adjacency(),
                                          blocked)) {
     ++report.disconnected_rounds;
   }
+  if (fault_hook_ != nullptr) fault_hook_->on_step(round());
   rounds_.end_round();
   ++report.rounds;
 }
@@ -70,7 +111,9 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
 
   // Each primitive round is a simulation round plus a synchronization round
   // in which the group also relays the supernode's outgoing messages.
-  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round()) + 3);
+  // Request and response legs are ordinary wire traffic to the fault hook;
+  // a lost leg starves the requester (and may leave its sampler dry).
+  auto epoch_rng = rng_.split(static_cast<std::uint64_t>(round()) + salt_);
   const auto sampled = sample_supernodes(
       d, groups_.supernodes(), schedule, epoch_rng,
       [&](int i, bool synchronization, const auto& cores) {
@@ -84,14 +127,18 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
         advance_round(attack, supernode_state_bits(cores[0], avg_group), extra,
                       report);
       },
-      kNoLoss);
+      [&](std::uint64_t from, std::uint64_t to) {
+        return fault_hook_ != nullptr &&
+               sim::lost_to_hook(*fault_hook_, from, to, round(), fate_);
+      });
+  report.fault_dropped_messages = sampled.lost_messages;
 
   // Final reorganization phase: four rounds of group-to-group traffic
   // (assignments out, new groups gathered, neighbor groups exchanged, new
-  // views delivered).
+  // views delivered) between a group and its (k - 1) * d neighbors.
   {
     const auto reorg_bits = static_cast<std::uint64_t>(
-        avg_group * avg_group * static_cast<double>(d + 1) *
+        avg_group * avg_group * static_cast<double>(cube_.degree() + 1) *
         static_cast<double>(kIdBits));
     const auto state_bits = supernode_state_bits(sampled.cores[0], avg_group);
     for (int r = 0; r < 4; ++r) {
@@ -99,9 +146,9 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
     }
   }
 
-  auto fail = [&](const char* reason) {
-    report.success = false;
-    report.failure_reason = reason;
+  auto finish = [&](const char* failure_reason) {
+    report.success = failure_reason[0] == '\0';
+    report.failure_reason = failure_reason;
     report.min_group_size = groups_.min_group_size();
     report.max_group_size = groups_.max_group_size();
     return report;
@@ -109,24 +156,25 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
   // Lemma 14/15 require at least one available node per group per round; if
   // the adversary ever silenced a whole group, the epoch's simulation is not
   // trustworthy and the old groups stay.
-  if (report.silenced_group_rounds > 0) return fail("a group was silenced");
-  if (sampled.dry_events > 0) return fail("supernode sampling ran dry");
+  if (report.silenced_group_rounds > 0) return finish("a group was silenced");
+  if (sampled.dry_events > 0) return finish("supernode sampling ran dry");
   switch (reassign_to_samples(groups_, sampled.cores)) {
     case Reassignment::kSampleShortage:
-      return fail("too few samples for a group (|R(x)| > beta log n)");
+      return finish("too few samples for a group (|R(x)| > beta log n)");
     case Reassignment::kEmptySupernode:
-      return fail("reassignment left a supernode empty");
+      return finish("reassignment left a supernode empty");
     case Reassignment::kDone:
       break;
   }
 
-  // The epoch's one edge list: the audit reads it, the snapshot keeps it.
-  auto edges = groups_.overlay_edges();
+  // The epoch's one edge list, if kept: the audit reads it, the snapshot too.
+  auto edges = kept_edges();
   // Epoch-boundary audit (Section 5): the rebuilt groups partition the node
   // set with Theta(log n) representatives each, and the overlay edge list is
   // a well-formed undirected graph.
   if (audit::enabled()) {
-    auto violations = audit::check_group_table(groups_, config_.group_c);
+    auto violations =
+        audit::check_group_table(groups_, config_.group_c, config_.arity);
     for (auto& violation :
          audit::check_edge_symmetry(groups_.all_nodes(), edges)) {
       // reconfnet-hotcheck: allow(RNH404) audit-only path, sizes unknowable
@@ -135,13 +183,8 @@ DosOverlay::EpochReport DosOverlay::run_epoch(const Attack& attack) {
     audit::enforce(std::move(violations));
   }
   rounds_.push_snapshot(groups_.all_nodes(), std::move(edges));
-
-  report.success = report.disconnected_rounds == 0;
-  if (!report.success) report.failure_reason = "disconnected";
   report.reorganized = true;
-  report.min_group_size = groups_.min_group_size();
-  report.max_group_size = groups_.max_group_size();
-  return report;
+  return finish(report.disconnected_rounds == 0 ? "" : "disconnected");
 }
 
 }  // namespace reconfnet::dos

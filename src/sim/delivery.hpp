@@ -30,6 +30,7 @@
 // the blocked set that a released copy's receiver is checked against.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -75,6 +76,20 @@ class DeliveryHook {
   /// crashes) can advance a clock that is shared across several buses.
   virtual void on_step(Round round) = 0;
 };
+
+/// The loss rule of code that offers a message to the hook directly instead
+/// of through a round boundary (the grouped overlays' sampler exchange, the
+/// workload driver's request legs): the message is lost unless some copy
+/// arrives on time, that is, when the hook drops it or delays every copy.
+/// `fate` is the caller's scratch.
+[[nodiscard]] inline bool lost_to_hook(DeliveryHook& hook, NodeId from,
+                                       NodeId to, Round round,
+                                       std::vector<Round>& fate) {
+  fate.clear();
+  hook.on_message(from, to, round, fate);
+  return std::none_of(fate.begin(), fate.end(),
+                      [](Round delay) { return delay == 0; });
+}
 
 /// Allocator of inbox slots. seal() lays out exactly the slots that put()
 /// then fills, so value-initializing a trivially copyable slot first would

@@ -47,7 +47,7 @@ struct DhtAdapterConfig {
   /// Epoch-time DoS: fraction blocked by the adapter's RandomDos (0 = none).
   double epoch_blocked_fraction = 0.0;
   int epoch_lateness = 2;
-  /// See KaryGroupedOverlay::Config::snapshot_edges; turn off at large n.
+  /// See DosOverlay::Config::snapshot_edges; turn off at large n.
   bool snapshot_edges = true;
   std::uint64_t seed = 1;
 };
@@ -142,6 +142,8 @@ class AnonymAdapter final : public AppAdapter {
   ServeOutcome serve(const Op& op, std::uint64_t entry_group,
                      std::span<const sim::BlockedSet> blocked,
                      support::Rng& rng) override;
+  /// Keeps the default set_fault_hook: the driver's faults reach only the
+  /// serving legs, and the overlay's epoch exchange stays lossless.
   EpochOutcome run_epoch(support::Rng& rng) override;
 
  private:

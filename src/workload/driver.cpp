@@ -8,6 +8,7 @@
 #include "audit/audit.hpp"
 #include "audit/invariants.hpp"
 #include "fault/injector.hpp"
+#include "sim/delivery.hpp"
 
 namespace reconfnet::workload {
 
@@ -190,9 +191,10 @@ void WorkloadDriver::run_serving_round(Streams& streams, sim::Round now) {
     bool lost = false;
     if (streams.faults) {
       // Request and response legs between the entry and home groups are
-      // ordinary wire traffic to the fault layer.
-      lost = leg_lost(streams, entry, home, now) ||
-             leg_lost(streams, home, entry, now);
+      // ordinary wire traffic to the fault layer; a leg that no copy crosses
+      // within the serve window is lost, and the request retries next round.
+      lost = sim::lost_to_hook(streams.injector, entry, home, now, fate_) ||
+             sim::lost_to_hook(streams.injector, home, entry, now, fate_);
     }
     ServeOutcome outcome;
     if (lost) {
@@ -225,20 +227,6 @@ void WorkloadDriver::run_serving_round(Streams& streams, sim::Round now) {
     }
   }
   queue_.resize(kept);
-}
-
-bool WorkloadDriver::leg_lost(Streams& streams, std::uint64_t from,
-                              std::uint64_t to, sim::Round now) {
-  fate_.clear();
-  streams.injector.on_message(static_cast<sim::NodeId>(from),
-                              static_cast<sim::NodeId>(to), now, fate_);
-  if (fate_.empty()) return true;
-  for (const sim::Round delay : fate_) {
-    if (delay == 0) return false;
-  }
-  // Every copy was delayed past the request's serve window: effectively lost
-  // (the request retries next round).
-  return true;
 }
 
 WorkloadReport run_workload(const DriverConfig& config, AppAdapter& adapter,

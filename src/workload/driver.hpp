@@ -164,8 +164,6 @@ class WorkloadDriver {
 
   void issue_arrivals(Streams& streams, sim::Round now);
   void run_serving_round(Streams& streams, sim::Round now);
-  [[nodiscard]] bool leg_lost(Streams& streams, std::uint64_t entry_group,
-                              std::uint64_t home_group, sim::Round now);
 
   DriverConfig config_;
   AppAdapter* adapter_;

@@ -446,6 +446,26 @@ TEST(AuditHooks, NodeLevelEpochUnderAuditIsSilent) {
   EXPECT_EQ(audit::stats().violations_found, 0u);
 }
 
+TEST(AuditHooks, KaryOverlayQuietEpochIsAuditedAndMetered) {
+  // The k-ary DHT overlay runs Section 5's epoch: with no adversary there is
+  // no budget to audit, so the checks are the epoch-boundary audit's. At
+  // k = 16 and n = 2048 the 16 groups average 128 > 6 log2 n members.
+  ScopedEnable on;
+  for (const auto& [arity, n] : {std::pair{4, 512U}, std::pair{16, 2048U}}) {
+    audit::reset_stats();
+    apps::KaryGroupedOverlay::Config config;
+    config.size = n;
+    config.arity = arity;
+    config.seed = 35;
+    apps::KaryGroupedOverlay overlay(config);
+    const auto report = overlay.run_epoch({});
+    EXPECT_TRUE(report.success) << report.failure_reason;
+    EXPECT_GT(report.max_node_bits_per_round, 0u);
+    EXPECT_GT(audit::stats().checks_run, 0u);
+    EXPECT_EQ(audit::stats().violations_found, 0u);
+  }
+}
+
 TEST(AuditHooks, DisabledAuditSkipsChecks) {
   ScopedEnable off(false);
   audit::reset_stats();

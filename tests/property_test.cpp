@@ -550,6 +550,32 @@ TEST(GroupRule, OverlayEdgesKeepTheirPinnedOrder) {
             0xd2e9b71691299c3cULL);
 }
 
+TEST(GroupRule, BinaryKaryOverlayIsSection5Overlay) {
+  // At k = 2 one digit is one bit: the k-ary DHT overlay holds the groups
+  // and edges of Section 5's overlay built from the same size, group_c and
+  // seed. Only their epoch salts differ.
+  for (const std::size_t n : {64U, 256U, 1024U, 4096U}) {
+    for (const std::uint64_t seed : {1U, 7U, 42U}) {
+      dos::DosOverlay::Config config;
+      config.size = n;
+      config.group_c = seed == 7 ? 2.0 : 1.0;
+      config.seed = seed;
+      apps::KaryGroupedOverlay::Config kary_config;
+      kary_config.size = n;
+      kary_config.arity = 2;
+      kary_config.group_c = config.group_c;
+      kary_config.seed = seed;
+      const dos::DosOverlay binary(config);
+      const apps::KaryGroupedOverlay kary(kary_config);
+      EXPECT_EQ(kary.groups().dimension(), binary.groups().dimension());
+      EXPECT_EQ(kary.groups().groups(), binary.groups().groups())
+          << "n " << n << " seed " << seed;
+      EXPECT_EQ(kary.overlay_edges(), binary.groups().overlay_edges())
+          << "n " << n << " seed " << seed;
+    }
+  }
+}
+
 // --- Blocking semantics as algebraic properties --------------------------------
 
 class BlockingSemantics
