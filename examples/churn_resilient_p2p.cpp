@@ -81,7 +81,7 @@ int main() {
 
   // Every id that ever joined either is a member or has left for good —
   // the membership is monotonic.
-  const std::size_t everyone = overlay.ever_member_count();
+  const std::size_t everyone = overlay.churn().admitted();
   std::unordered_set<sim::NodeId> current(overlay.members().begin(),
                                           overlay.members().end());
   std::cout << "\nlifetime peers: " << everyone

@@ -85,22 +85,6 @@ class GroupWipeDos final : public DosAdversary {
   support::Rng rng_;
 };
 
-/// Blocks the same random set for `hold` consecutive rounds before rerolling;
-/// models an attacker with slow retargeting.
-class StickyRandomDos final : public DosAdversary {
- public:
-  StickyRandomDos(support::Rng rng, int hold) : rng_(rng), hold_(hold) {}
-  sim::BlockedSet choose(const sim::StaleSnapshotView& stale,
-                         std::span<const sim::NodeId> universe,
-                         std::size_t budget, sim::Round now) override;
-
- private:
-  support::Rng rng_;
-  int hold_;
-  int age_ = 0;
-  sim::BlockedSet current_;
-};
-
 /// Adaptive group-learning attack (ROADMAP item 5). The adversary partitions
 /// each new stale snapshot into apparent groups (near-cliques), wipes whole
 /// groups, and then *learns from its own blocked-set feedback*: when the next

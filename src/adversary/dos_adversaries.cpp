@@ -188,17 +188,6 @@ sim::BlockedSet GroupWipeDos::choose(const sim::StaleSnapshotView& stale,
   return blocked;
 }
 
-sim::BlockedSet StickyRandomDos::choose(const sim::StaleSnapshotView& stale,
-                                        std::span<const sim::NodeId> universe,
-                                        std::size_t budget, sim::Round now) {
-  if (age_ == 0 || current_.size() > budget) {
-    RandomDos fresh(rng_.split(static_cast<std::uint64_t>(now)));
-    current_ = fresh.choose(stale, universe, budget, now);
-  }
-  age_ = (age_ + 1) % hold_;
-  return current_;
-}
-
 sim::BlockedSet AdaptiveDos::choose(const sim::StaleSnapshotView& stale,
                                     std::span<const sim::NodeId> universe,
                                     std::size_t budget, sim::Round now) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <unordered_set>
 
 #include "combined/split_merge.hpp"
 #include "dos/group_table.hpp"
@@ -387,12 +388,14 @@ std::vector<Violation> check_blocked_budget(
     std::span<const sim::NodeId> universe) {
   const std::unordered_set<sim::NodeId> known(universe.begin(),
                                               universe.end());
-  return check_blocked_budget(blocked, budget, known);
+  return check_blocked_budget(blocked, budget, [&known](sim::NodeId node) {
+    return known.contains(node);
+  });
 }
 
 std::vector<Violation> check_blocked_budget(
     const sim::BlockedSet& blocked, std::size_t budget,
-    const std::unordered_set<sim::NodeId>& known_ids) {
+    const std::function<bool(sim::NodeId)>& known) {
   std::vector<Violation> out;
   if (blocked.size() > budget) {
     add(out, "adversary.budget",
@@ -402,7 +405,7 @@ std::vector<Violation> check_blocked_budget(
   // sorted_ids() so the reported node (and thus the AuditError text) is the
   // same on every standard library, not whichever bucket comes first.
   for (sim::NodeId node : blocked.sorted_ids()) {
-    if (!known_ids.contains(node)) {
+    if (!known(node)) {
       add(out, "adversary.budget",
           "adversary blocked node " + std::to_string(node) +
               ", which was never a member of the overlay");

@@ -17,8 +17,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -156,13 +156,14 @@ struct DeliveryRecord {
     const sim::BlockedSet& blocked, std::size_t budget,
     std::span<const sim::NodeId> universe);
 
-/// Same contract with the known id space given as a set. Under churn a
+/// Same contract with the known id space given as a test. Under churn a
 /// t-late adversary legitimately targets ids from a stale snapshot that have
-/// since left, so the combined overlay audits against the ever-member set
-/// (ids are never reused, Section 1.1) rather than the current members.
+/// since left, so the combined overlay audits against the ids it ever
+/// admitted (ids are never reused, Section 1.1) rather than the current
+/// members.
 [[nodiscard]] std::vector<Violation> check_blocked_budget(
     const sim::BlockedSet& blocked, std::size_t budget,
-    const std::unordered_set<sim::NodeId>& known_ids);
+    const std::function<bool(sim::NodeId)>& known);
 
 /// The Section 1.1 t-lateness contract: an adversary acting at round `now`
 /// may only read snapshots at least `lateness` rounds stale, i.e.

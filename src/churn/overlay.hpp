@@ -7,12 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "adversary/churn.hpp"
 #include "churn/reconfigure.hpp"
+#include "churn/staged_churn.hpp"
 #include "graph/hgraph.hpp"
 #include "sampling/schedule.hpp"
 #include "sim/types.hpp"
@@ -65,18 +64,12 @@ class ChurnOverlay {
   [[nodiscard]] sim::IdAllocator& ids() { return ids_; }
   [[nodiscard]] sim::Round round() const { return round_; }
 
-  /// Ids currently flagged to leave (still members until their epoch ends).
-  [[nodiscard]] std::vector<sim::NodeId> departing() const;
-
   /// The order of members along one Hamilton cycle (ground truth; used by
   /// omniscient topology-aware adversaries).
   [[nodiscard]] std::vector<sim::NodeId> cycle_order(int cycle) const;
 
-  /// Number of ids ever admitted (initial members plus accepted joins);
-  /// every one of them is a member or has left for good.
-  [[nodiscard]] std::size_t ever_member_count() const {
-    return ever_member_count_;
-  }
+  /// The staged churn and the ids ever admitted (Section 1.1's rule).
+  [[nodiscard]] const StagedChurn& churn() const { return churn_; }
 
  private:
   Config config_;
@@ -85,20 +78,7 @@ class ChurnOverlay {
   std::vector<sim::NodeId> members_;  // index -> id
   graph::HGraph topology_;
   sim::Round round_ = 0;
-
-  // Staged churn, applied at the next epoch boundary.
-  std::unordered_map<sim::NodeId, std::vector<sim::NodeId>> staged_joins_;
-  std::unordered_set<sim::NodeId> staged_leaves_;
-  // Leavers of the epoch currently executing (visible as departing, but a
-  // lenient adversary may still sponsor joins on them, exercising the
-  // delegation rule at the epoch boundary).
-  std::unordered_set<sim::NodeId> epoch_departing_;
-  // ever_member_[id]: `id` was ever admitted. Ids come dense and monotonic
-  // from ids_, so one bit per issued id backs the never-reused check.
-  std::vector<bool> ever_member_;
-  std::size_t ever_member_count_ = 0;
-
-  void poll_adversary(adversary::ChurnAdversary& adversary, sim::Round rounds);
+  StagedChurn churn_;
 };
 
 }  // namespace reconfnet::churn

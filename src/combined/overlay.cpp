@@ -10,7 +10,6 @@
 #include "dos/group_epoch.hpp"
 #include "graph/connectivity.hpp"
 #include "sim/stale_view.hpp"
-#include "support/sorted.hpp"
 
 namespace reconfnet::combined {
 
@@ -46,62 +45,37 @@ CombinedOverlay::CombinedOverlay(const Config& config)
       rng_(config.seed),
       super_(bootstrap(config, rng_, ids_)) {
   refresh_topology();
-  for (sim::NodeId id : members_) ever_members_.insert(id);
   rounds_.push_snapshot(members_, super_.overlay_edges());
 }
 
 void CombinedOverlay::refresh_topology() {
   members_ = super_.all_nodes();
-  sorted_members_ = members_;
-  std::sort(sorted_members_.begin(), sorted_members_.end());
   adjacency_ = super_.adjacency();
-}
-
-void CombinedOverlay::poll_churn(adversary::ChurnAdversary& churn) {
-  std::vector<sim::NodeId> departing(staged_leaves_.begin(),
-                                     staged_leaves_.end());
-  departing.insert(departing.end(), epoch_departing_.begin(),
-                   epoch_departing_.end());
-  adversary::ChurnView view{round(), members_, departing};
-  const auto batch = churn.next(view, ids_);
-  for (const auto& [fresh, sponsor] : batch.joins) {
-    if (!is_member(sponsor) || staged_leaves_.contains(sponsor)) {
-      throw std::logic_error("churn adversary violated the sponsor rule");
-    }
-    if (ever_members_.contains(fresh)) {
-      throw std::logic_error("churn adversary reused a node id");
-    }
-    ever_members_.insert(fresh);
-    staged_joins_[sponsor].push_back(fresh);
-  }
-  for (sim::NodeId leaver : batch.leaves) {
-    if (!is_member(leaver)) {
-      throw std::logic_error("churn adversary removed a non-member");
-    }
-    staged_leaves_.insert(leaver);
-  }
+  churn_.set_members(members_);
 }
 
 void CombinedOverlay::crash(sim::NodeId node) {
-  if (!is_member(node)) {
+  if (!churn_.is_member(node)) {
     throw std::invalid_argument("crash: node is not a member");
   }
-  if (!crashed_.insert(node).second) {
+  if (std::ranges::find(crashed_, node) != crashed_.end()) {
     throw std::invalid_argument("crash: node already crashed");
   }
+  crashed_.push_back(node);
   // The group emulates the crashed node's departure: it is staged to leave
   // exactly like an announced leave, and it never communicates again.
-  staged_leaves_.insert(node);
+  churn_.stage_leave(node);
 }
 
 void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
                                     const dos::Attack& attack,
                                     std::uint64_t state_bits,
                                     EpochReport& report) {
-  sim::BlockedSet& blocked = rounds_.block(attack, members_, &ever_members_);
+  sim::BlockedSet& blocked =
+      rounds_.block(attack, members_, [this](sim::NodeId node) {
+        return churn_.was_admitted(node);
+      });
   // Crashed members are silent forever, on top of any adversary budget.
-  // reconfnet-lint: allow(RNL005) set union into a BlockedSet; the result's
-  // contents do not depend on the iteration order
   for (sim::NodeId node : crashed_) blocked.insert(node);
 
   const auto groups =
@@ -114,7 +88,7 @@ void CombinedOverlay::advance_round(adversary::ChurnAdversary& churn,
     ++report.disconnected_rounds;
   }
 
-  poll_churn(churn);
+  churn_.poll(churn, round(), members_, ids_);
   rounds_.end_round();
   ++report.rounds;
 }
@@ -123,24 +97,19 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
     adversary::ChurnAdversary& churn, const dos::Attack& attack) {
   EpochReport report;
 
-  // Snapshot the staged churn for this epoch.
-  auto epoch_joins = std::move(staged_joins_);
-  auto epoch_leaves = std::move(staged_leaves_);
-  staged_joins_.clear();
-  staged_leaves_.clear();
-  epoch_departing_ = epoch_leaves;
+  // The staged churn is this epoch's.
+  churn_.begin_epoch();
 
   // Classes: the supernodes projected onto the common prefix d_min. Every
   // class is simulated by the union of its groups.
   const int d_min = super_.min_dimension();
   const std::uint64_t class_count = std::uint64_t{1} << d_min;
   std::vector<std::vector<sim::NodeId>> class_members(class_count);
-  std::size_t join_count = 0;
   for (const auto& [key, entry] : super_.groups()) {
     const auto& [label, members] = entry;
     auto& bucket = class_members[label.prefix(d_min).bits];
     for (sim::NodeId node : members) {
-      if (epoch_leaves.contains(node)) {
+      if (churn_.leaving(node)) {
         ++report.leaves_applied;  // leavers participate but are not placed
       } else {
         // reconfnet-hotcheck: allow(RNH404) class sizes are churn-dependent;
@@ -149,17 +118,13 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
       }
       // A leaver still places the joiners that were introduced to it before
       // it was prescribed to leave (Section 4's rule carries over).
-      auto it = epoch_joins.find(node);
-      if (it != epoch_joins.end()) {
-        for (sim::NodeId joiner : it->second) {
-          // reconfnet-hotcheck: allow(RNH404) once-per-epoch class assembly
-          bucket.push_back(joiner);
-          ++join_count;
-        }
+      for (const auto& join : churn_.joins_of(node)) {
+        // reconfnet-hotcheck: allow(RNH404) once-per-epoch class assembly
+        bucket.push_back(join.node);
+        ++report.joins_applied;
       }
     }
   }
-  report.joins_applied = join_count;
   std::size_t placed_total = 0;
   std::size_t max_class = 0;
   for (auto& bucket : class_members) {
@@ -168,23 +133,20 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
     max_class = std::max(max_class, bucket.size());
   }
 
-  auto fail = [&](std::string reason) {
-    report.success = false;
-    report.failure_reason = std::move(reason);
-    // Re-stage the snapshot so no churn is lost.
-    for (auto& [sponsor, list] : epoch_joins) {
-      // reconfnet-hotcheck: allow(RNH403) failure-path re-staging only
-      auto& dest = staged_joins_[sponsor];
-      dest.insert(dest.end(), list.begin(), list.end());
-    }
-    staged_leaves_.insert(epoch_leaves.begin(), epoch_leaves.end());
-    epoch_departing_.clear();
+  // The report's closing fields, on success and failure alike.
+  auto finish = [&] {
     report.min_dimension = super_.min_dimension();
     report.max_dimension = super_.max_dimension();
     report.members_after = super_.node_count();
     report.min_group_size = super_.min_group_size();
     report.max_group_size = super_.max_group_size();
     return report;
+  };
+  auto fail = [&](std::string reason) {
+    report.success = false;
+    report.failure_reason = std::move(reason);
+    churn_.fail_epoch();  // no churn is lost
+    return finish();
   };
 
   if (placed_total < 4) return fail("fewer than 4 nodes would remain");
@@ -300,42 +262,17 @@ CombinedOverlay::EpochReport CombinedOverlay::run_epoch(
   }
   rounds_.push_snapshot(members_, std::move(edges));
 
-  epoch_departing_.clear();
   // Delegate joins staged during this epoch whose sponsor just left.
-  // Sorted sponsor order: each orphan draws a delegate from the overlay
-  // RNG, so hash-bucket order must not pick the processing sequence.
-  std::vector<sim::NodeId> orphaned;
-  for (sim::NodeId sponsor : support::sorted_keys(staged_joins_)) {
-    // reconfnet-hotcheck: allow(RNH404) once per epoch, usually a handful
-    if (!is_member(sponsor)) orphaned.push_back(sponsor);
-  }
-  for (sim::NodeId sponsor : orphaned) {
-    // Staged joins are keyed by sponsor id, which survives renumbering and is
-    // sparse in the id space; the table is touched once per epoch boundary.
-    // reconfnet-hotcheck: allow(RNH403) sparse sponsor-id staging table
-    auto list = std::move(staged_joins_[sponsor]);
-    // reconfnet-hotcheck: allow(RNH403) sparse sponsor-id staging table
-    staged_joins_.erase(sponsor);
-    const sim::NodeId delegate = members_[rng_.below(members_.size())];
-    // reconfnet-hotcheck: allow(RNH403) sparse sponsor-id staging table
-    auto& dest = staged_joins_[delegate];
-    dest.insert(dest.end(), list.begin(), list.end());
-  }
-  std::erase_if(staged_leaves_,
-                [this](sim::NodeId node) { return !is_member(node); });
+  churn_.end_epoch(members_, rng_);
   // Crashed nodes that have now left the overlay need no further emulation.
-  std::erase_if(crashed_,
-                [this](sim::NodeId node) { return !is_member(node); });
+  std::erase_if(crashed_, [this](sim::NodeId node) {
+    return !churn_.is_member(node);
+  });
 
   report.success = report.disconnected_rounds == 0;
   if (!report.success) report.failure_reason = "disconnected";
   report.reorganized = true;
-  report.min_dimension = super_.min_dimension();
-  report.max_dimension = super_.max_dimension();
-  report.members_after = super_.node_count();
-  report.min_group_size = super_.min_group_size();
-  report.max_group_size = super_.max_group_size();
-  return report;
+  return finish();
 }
 
 }  // namespace reconfnet::combined

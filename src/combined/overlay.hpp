@@ -12,14 +12,12 @@
 // (see DESIGN.md's substitution table).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "adversary/churn.hpp"
+#include "churn/staged_churn.hpp"
 #include "combined/split_merge.hpp"
 #include "dos/attack.hpp"
 #include "graph/connectivity.hpp"
@@ -77,7 +75,7 @@ class CombinedOverlay {
   /// boundary. Crashing a non-member or an already-crashed node throws.
   void crash(sim::NodeId node);
 
-  [[nodiscard]] const std::unordered_set<sim::NodeId>& crashed() const {
+  [[nodiscard]] const std::vector<sim::NodeId>& crashed() const {
     return crashed_;
   }
 
@@ -91,6 +89,8 @@ class CombinedOverlay {
   [[nodiscard]] sim::Round round() const { return rounds_.round(); }
   [[nodiscard]] sim::IdAllocator& ids() { return ids_; }
   [[nodiscard]] std::vector<sim::NodeId> members() const { return members_; }
+  /// The staged churn and the ids ever admitted (Section 1.1's rule).
+  [[nodiscard]] const churn::StagedChurn& churn() const { return churn_; }
 
   /// The initial dimension for n nodes per Lemma 18: the unique d with
   /// 2^d * 2cd < n <= 2^{d+1} * 2c(d+1).
@@ -106,15 +106,11 @@ class CombinedOverlay {
   // The topology of super_, rebuilt only where membership or labels change
   // (construction, and after the epoch's reassign and split/merge) and read
   // by every round.
-  std::vector<sim::NodeId> members_;         ///< super_.all_nodes()
-  std::vector<sim::NodeId> sorted_members_;  ///< members_, ascending
-  graph::NeighborVisitor adjacency_;         ///< super_.adjacency()
+  std::vector<sim::NodeId> members_;  ///< super_.all_nodes()
+  graph::NeighborVisitor adjacency_;  ///< super_.adjacency()
 
-  std::unordered_map<sim::NodeId, std::vector<sim::NodeId>> staged_joins_;
-  std::unordered_set<sim::NodeId> staged_leaves_;
-  std::unordered_set<sim::NodeId> epoch_departing_;
-  std::unordered_set<sim::NodeId> ever_members_;
-  std::unordered_set<sim::NodeId> crashed_;
+  churn::StagedChurn churn_;
+  std::vector<sim::NodeId> crashed_;  ///< in crash order
 
   static SuperGroups bootstrap(const Config& config, support::Rng& rng,
                                sim::IdAllocator& ids);
@@ -122,13 +118,9 @@ class CombinedOverlay {
   void advance_round(adversary::ChurnAdversary& churn,
                      const dos::Attack& attack, std::uint64_t state_bits,
                      EpochReport& report);
-  void poll_churn(adversary::ChurnAdversary& churn);
-  /// Rebuilds members_, sorted_members_ and adjacency_ from super_.
+  /// Rebuilds members_ and adjacency_ from super_ and hands the members to
+  /// churn_.
   void refresh_topology();
-  [[nodiscard]] bool is_member(sim::NodeId node) const {
-    return std::binary_search(sorted_members_.begin(), sorted_members_.end(),
-                              node);
-  }
 };
 
 }  // namespace reconfnet::combined

@@ -30,7 +30,7 @@ void AttackRounds::push_snapshot(
 
 sim::BlockedSet& AttackRounds::block(
     const Attack& attack, std::span<const sim::NodeId> universe,
-    const std::unordered_set<sim::NodeId>* known) {
+    const std::function<bool(sim::NodeId)>& known) {
   if (attack.adversary == nullptr) return blocked_;
   const auto budget = static_cast<std::size_t>(
       attack.blocked_fraction * static_cast<double>(universe.size()));
@@ -41,13 +41,11 @@ sim::BlockedSet& AttackRounds::block(
   // Round-boundary audit: an r-bounded adversary must respect its budget
   // and may only block ids that exist. Under churn a t-late adversary
   // legitimately wastes budget on ids that have since left, so the combined
-  // overlay passes every id that was ever a member (ids are never reused).
+  // overlay accepts every id it ever admitted (ids are never reused).
   if (audit::enabled()) {
-    audit::enforce(known == nullptr
-                       ? audit::check_blocked_budget(blocked_, budget,
-                                                     universe)
-                       : audit::check_blocked_budget(blocked_, budget,
-                                                     *known));
+    audit::enforce(known ? audit::check_blocked_budget(blocked_, budget, known)
+                         : audit::check_blocked_budget(blocked_, budget,
+                                                       universe));
   }
   return blocked_;
 }

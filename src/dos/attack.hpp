@@ -10,8 +10,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -64,13 +64,12 @@ class AttackRounds {
 
   /// Starts the current round: the adversary, if any, blocks at most
   /// blocked_fraction * |universe| of the public ids `universe` from the
-  /// view served at round() - lateness; under RECONFNET_AUDIT only ids in
-  /// `known` (nullptr: the universe). Returns the round's blocked set, to
-  /// which the caller adds nodes silent for other reasons.
+  /// view served at round() - lateness; under RECONFNET_AUDIT only ids that
+  /// `known` accepts (empty: the universe). Returns the round's blocked set,
+  /// to which the caller adds nodes silent for other reasons.
   sim::BlockedSet& block(const Attack& attack,
                          std::span<const sim::NodeId> universe,
-                         const std::unordered_set<sim::NodeId>* known =
-                             nullptr);
+                         const std::function<bool(sim::NodeId)>& known = {});
 
   /// Adds this round's availability of `groups` (member lists) to the
   /// report's silenced_group_rounds and min_available_fraction; returns the

@@ -3,8 +3,8 @@
 // Iterating an unordered_map/unordered_set directly leaks the hash table's
 // bucket order — implementation-defined and different across standard
 // libraries — into whatever the loop produces (reconfnet-lint rule RNL005).
-// Call sites that need the elements in a reproducible order go through these
-// helpers instead: extract, sort, then iterate the vector.
+// Call sites that need the elements in a reproducible order go through this
+// helper instead: extract, sort, then iterate the vector.
 #pragma once
 
 #include <algorithm>
@@ -18,16 +18,6 @@ template <typename Set>
   std::vector<typename Set::key_type> out;
   out.reserve(set.size());
   for (const auto& key : set) out.push_back(key);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// The keys of `map` as a sorted vector.
-template <typename Map>
-[[nodiscard]] std::vector<typename Map::key_type> sorted_keys(const Map& map) {
-  std::vector<typename Map::key_type> out;
-  out.reserve(map.size());
-  for (const auto& [key, value] : map) out.push_back(key);
   std::sort(out.begin(), out.end());
   return out;
 }

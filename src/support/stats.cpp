@@ -131,47 +131,4 @@ double chernoff_lower_bound(double mu, double delta) {
   return std::exp(-delta * delta * mu / 2.0);
 }
 
-void Histogram::add(std::int64_t value) {
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), value,
-      [](const auto& bucket, std::int64_t v) { return bucket.first < v; });
-  if (it != buckets_.end() && it->first == value) {
-    ++it->second;
-  } else {
-    buckets_.insert(it, {value, 1});
-  }
-  if (total_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++total_;
-  sum_ += static_cast<double>(value);
-}
-
-void Histogram::merge(const Histogram& other) {
-  for (const auto& [value, count] : other.buckets_) {
-    for (std::uint64_t i = 0; i < count; ++i) add(value);
-  }
-}
-
-double Histogram::mean() const {
-  return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
-}
-
-std::uint64_t Histogram::at(std::int64_t value) const {
-  auto it = std::lower_bound(
-      buckets_.begin(), buckets_.end(), value,
-      [](const auto& bucket, std::int64_t v) { return bucket.first < v; });
-  return (it != buckets_.end() && it->first == value) ? it->second : 0;
-}
-
-std::vector<std::int64_t> Histogram::values() const {
-  std::vector<std::int64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& [value, count] : buckets_) out.push_back(value);
-  return out;
-}
-
 }  // namespace reconfnet::support

@@ -57,28 +57,4 @@ double chernoff_upper_bound(double mu, double delta);
 /// Pr[X <= (1-delta) mu] <= exp(-delta^2 mu / 2).
 double chernoff_lower_bound(double mu, double delta);
 
-/// Running histogram over integer values; used by benches to report
-/// distributions (e.g. group sizes, empty-segment lengths).
-class Histogram {
- public:
-  void add(std::int64_t value);
-  void merge(const Histogram& other);
-
-  [[nodiscard]] std::size_t count() const { return total_; }
-  [[nodiscard]] std::int64_t min() const { return min_; }
-  [[nodiscard]] std::int64_t max() const { return max_; }
-  [[nodiscard]] double mean() const;
-  /// Number of observations equal to `value`.
-  [[nodiscard]] std::uint64_t at(std::int64_t value) const;
-  /// Sorted distinct observed values.
-  [[nodiscard]] std::vector<std::int64_t> values() const;
-
- private:
-  std::vector<std::pair<std::int64_t, std::uint64_t>> buckets_;  // sorted
-  std::size_t total_ = 0;
-  std::int64_t min_ = 0;
-  std::int64_t max_ = 0;
-  double sum_ = 0.0;
-};
-
 }  // namespace reconfnet::support

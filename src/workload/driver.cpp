@@ -51,7 +51,7 @@ WorkloadDriver::WorkloadDriver(DriverConfig config, AppAdapter* adapter)
       adapter_(adapter),
       keys_(config_.keys),
       arrivals_(config_.arrivals),
-      tracker_(config_.max_latency_rounds, capacity_hint(config_)),
+      tracker_(kMaxLatencyRounds, capacity_hint(config_)),
       mitigator_(config_.mitigation,
                  adapter != nullptr ? adapter->group_count() : 1) {
   if (adapter_ == nullptr) {
@@ -73,7 +73,7 @@ WorkloadReport WorkloadDriver::run(support::Rng& master) {
   // Reset per-run state so one driver can run several trials.
   keys_ = KeyDist(config_.keys);
   arrivals_ = ArrivalProcess(config_.arrivals);
-  tracker_ = RequestTracker(config_.max_latency_rounds, capacity_hint(config_));
+  tracker_ = RequestTracker(kMaxLatencyRounds, capacity_hint(config_));
   mitigator_ = HotKeyMitigator(config_.mitigation, adapter_->group_count());
   report_ = {};
   queue_.clear();

@@ -115,8 +115,6 @@ struct DriverConfig {
   /// Injected fault environment for request legs, epochs, and hot-key floods.
   fault::FaultPlan faults;
   MitigationConfig mitigation;
-  /// Latency histogram cap in rounds (larger latencies clamp).
-  std::uint64_t max_latency_rounds = 4095;
   /// Enforce request conservation every round (audit::ScopedEnable is still
   /// required for the checks to throw).
   bool audit = true;

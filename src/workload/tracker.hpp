@@ -27,12 +27,15 @@ using LatencyHistogram = support::Percentiles;
 
 using RequestId = std::uint32_t;
 
+/// The latency histogram's cap in rounds.
+inline constexpr std::uint64_t kMaxLatencyRounds = 4095;
+
 class RequestTracker {
  public:
   /// `max_latency_rounds` caps the histogram (larger latencies clamp);
   /// `capacity_hint` pre-sizes the slot pool to the expected in-flight
   /// high-water mark so steady state never grows it.
-  explicit RequestTracker(std::uint64_t max_latency_rounds = 4095,
+  explicit RequestTracker(std::uint64_t max_latency_rounds = kMaxLatencyRounds,
                           std::size_t capacity_hint = 1024)
       : latency_(max_latency_rounds) {
     issue_round_.reserve(capacity_hint);

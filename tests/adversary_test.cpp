@@ -238,15 +238,6 @@ TEST(GroupWipeDos, WipesCliquesInSnapshot) {
               low >= 3 || high >= 3);
 }
 
-TEST(StickyRandomDos, HoldsBlockedSet) {
-  support::Rng rng(16);
-  StickyRandomDos dos(rng, 3);
-  const auto snap = ring_snapshot(40);
-  const auto first = dos.choose(stale(snap), {}, 10, 0);
-  const auto second = dos.choose(stale(snap), {}, 10, 1);
-  EXPECT_EQ(first.sorted_ids(), second.sorted_ids());
-}
-
 // Two disjoint 4-cliques: the unambiguous apparent-group partition
 // {0,1,2,3} / {4,5,6,7}.
 sim::TopologySnapshot two_cliques_snapshot(sim::Round round) {

@@ -12,7 +12,9 @@
 #include "churn/active_search.hpp"
 #include "churn/overlay.hpp"
 #include "churn/reconfigure.hpp"
+#include "churn_rules.hpp"
 #include "graph/hgraph.hpp"
+#include "sim/delivery.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -462,67 +464,61 @@ TEST(ChurnOverlay, MembershipIsMonotonic) {
   }
 }
 
-/// Joins scripted ids, one per round, each sponsored by the first member.
-/// kFresh draws a fresh id from the overlay's allocator; kAgain repeats the
-/// last fresh one.
-class ScriptedJoins final : public adversary::ChurnAdversary {
- public:
-  static constexpr sim::NodeId kFresh = sim::kNoNode;
-  static constexpr sim::NodeId kAgain = sim::kNoNode - 1;
-
-  explicit ScriptedJoins(std::vector<sim::NodeId> ids) : ids_(std::move(ids)) {}
-
-  adversary::ChurnBatch next(const adversary::ChurnView& view,
-                             sim::IdAllocator& ids) override {
-    adversary::ChurnBatch batch;
-    if (next_ >= ids_.size()) return batch;
-    sim::NodeId id = ids_[next_++];
-    if (id == kFresh) id = fresh_ = ids.allocate();
-    if (id == kAgain) id = fresh_;
-    batch.joins.emplace_back(id, view.members.front());
-    return batch;
-  }
-
- private:
-  std::vector<sim::NodeId> ids_;
-  std::size_t next_ = 0;
-  sim::NodeId fresh_ = sim::kNoNode;
-};
-
-/// Runs epochs until one throws std::logic_error; returns its message.
-std::string epoch_error(ChurnOverlay& overlay,
-                        adversary::ChurnAdversary& adversary) {
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    try {
-      overlay.run_epoch(adversary);
-    } catch (const std::logic_error& error) {
-      return error.what();
-    }
-  }
-  return "";
+// Section 1.1's churn rule (tests/churn_rules.hpp), on the churn overlay.
+ChurnOverlay make_overlay(std::uint64_t seed) {
+  return ChurnOverlay(overlay_config(32, seed));
 }
 
 TEST(ChurnOverlay, RejectsAReusedNodeId) {
-  // An initial member's id.
-  ChurnOverlay initial(overlay_config(32, 18));
-  ScriptedJoins reuse_member({initial.members().back()});
-  EXPECT_EQ(epoch_error(initial, reuse_member),
-            "churn adversary reused a node id");
-  EXPECT_EQ(initial.ever_member_count(), 32u);
-
-  // A joiner's id, offered again a round later.
-  ChurnOverlay joined(overlay_config(32, 19));
-  ScriptedJoins rejoin({ScriptedJoins::kFresh, ScriptedJoins::kAgain});
-  EXPECT_EQ(epoch_error(joined, rejoin), "churn adversary reused a node id");
-  EXPECT_EQ(joined.ever_member_count(), 33u);
+  churn_rules::expect_rejects_reused_ids(make_overlay, 32);
 }
 
 TEST(ChurnOverlay, RejectsAJoinIdTheOverlayNeverIssued) {
-  ChurnOverlay overlay(overlay_config(32, 20));
-  ScriptedJoins forged({ScriptedJoins::kFresh, overlay.ids().allocated() + 5});
-  EXPECT_EQ(epoch_error(overlay, forged),
-            "churn adversary joined an id the overlay never issued");
-  EXPECT_EQ(overlay.ever_member_count(), 33u);
+  churn_rules::expect_rejects_unissued_ids(make_overlay, 32);
+}
+
+TEST(ChurnOverlay, RejectsASponsorWhoseLeaveIsStaged) {
+  churn_rules::expect_rejects_a_leaving_sponsor(make_overlay, 32);
+}
+
+TEST(ChurnOverlay, DelegatesTheJoinsOfADepartedSponsor) {
+  churn_rules::expect_delegates_a_departed_sponsors_joins(make_overlay);
+}
+
+/// Drops every message while `drop` is set.
+class DropWhileSet final : public sim::DeliveryHook {
+ public:
+  void on_message(sim::NodeId, sim::NodeId, sim::Round,
+                  std::vector<sim::Round>& deliveries) override {
+    if (!drop) deliveries.push_back(0);
+  }
+  bool reorder(sim::NodeId, sim::Round, std::size_t,
+               std::vector<std::size_t>&) override {
+    return false;
+  }
+  void on_step(sim::Round) override {}
+
+  bool drop = false;
+};
+
+TEST(ChurnOverlay, FailedEpochKeepsItsJoins) {
+  // Epoch 1 runs with every message dropped and runs dry; the join staged
+  // in epoch 0 is staged again and takes effect at the end of epoch 2.
+  DropWhileSet hook;
+  const auto make = [&hook](std::uint64_t seed) {
+    auto config = overlay_config(64, seed);
+    config.fault_hook = &hook;
+    return ChurnOverlay(config);
+  };
+  const auto run_dry = [&hook](ChurnOverlay& overlay,
+                               adversary::ChurnAdversary& adversary) {
+    hook.drop = true;
+    auto report = overlay.run_epoch(adversary);
+    hook.drop = false;
+    return report;
+  };
+  churn_rules::expect_a_failed_epoch_keeps_its_joins(
+      make, run_dry, "rapid node sampling ran dry");
 }
 
 TEST(ChurnOverlay, GrowthAndShrinkage) {

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "adversary/churn.hpp"
 #include "adversary/dos.hpp"
+#include "churn_rules.hpp"
 #include "combined/labels.hpp"
 #include "combined/overlay.hpp"
 #include "combined/split_merge.hpp"
@@ -361,6 +363,56 @@ TEST(CombinedOverlay, MembershipIsMonotonic) {
     }
   }
   EXPECT_GT(gone.size(), 0u);
+}
+
+// Section 1.1's churn rule (tests/churn_rules.hpp), on the combined overlay.
+CombinedOverlay make_overlay(std::uint64_t seed) {
+  return CombinedOverlay(combined_config(256, seed));
+}
+
+TEST(CombinedOverlay, RejectsAReusedNodeId) {
+  churn_rules::expect_rejects_reused_ids(make_overlay, 256);
+}
+
+TEST(CombinedOverlay, RejectsAJoinIdTheOverlayNeverIssued) {
+  churn_rules::expect_rejects_unissued_ids(make_overlay, 256);
+}
+
+TEST(CombinedOverlay, RejectsASponsorWhoseLeaveIsStaged) {
+  churn_rules::expect_rejects_a_leaving_sponsor(make_overlay, 256);
+}
+
+TEST(CombinedOverlay, DelegatesTheJoinsOfADepartedSponsor) {
+  churn_rules::expect_delegates_a_departed_sponsors_joins(make_overlay);
+}
+
+/// Blocks `nodes` in round `at` only.
+class BlockOnce final : public adversary::DosAdversary {
+ public:
+  BlockOnce(const std::vector<sim::NodeId>& nodes, sim::Round at)
+      : nodes_(nodes.begin(), nodes.end()), at_(at) {}
+  sim::BlockedSet choose(const sim::StaleSnapshotView&,
+                         std::span<const sim::NodeId>, std::size_t,
+                         sim::Round now) override {
+    return now == at_ ? sim::BlockedSet(nodes_) : sim::BlockedSet();
+  }
+
+ private:
+  std::unordered_set<sim::NodeId> nodes_;
+  sim::Round at_;
+};
+
+TEST(CombinedOverlay, FailedEpochKeepsItsJoins) {
+  // Blocking one whole group in the first round of epoch 1 silences it; the
+  // join staged in epoch 0 is staged again and placed at the end of epoch 2.
+  const auto run_silenced = [](CombinedOverlay& overlay,
+                               adversary::ChurnAdversary& adversary) {
+    const auto& group = overlay.supernodes().groups().begin()->second.second;
+    BlockOnce silence(group, overlay.round());
+    return overlay.run_epoch(adversary, {&silence, 0, 1.0});
+  };
+  churn_rules::expect_a_failed_epoch_keeps_its_joins(
+      make_overlay, run_silenced, "a group was silenced");
 }
 
 TEST(CombinedOverlay, CrashedNodesAreEmulatedOut) {

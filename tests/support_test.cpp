@@ -184,30 +184,6 @@ TEST(Stats, ChernoffBoundsMatchLemma1) {
   EXPECT_GE(chernoff_upper_bound(100.0, 1.0), 0.0);
 }
 
-TEST(Stats, HistogramTracksCounts) {
-  Histogram h;
-  for (int v : {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}) h.add(v);
-  EXPECT_EQ(h.count(), 11u);
-  EXPECT_EQ(h.min(), 1);
-  EXPECT_EQ(h.max(), 9);
-  EXPECT_EQ(h.at(5), 3u);
-  EXPECT_EQ(h.at(7), 0u);
-  EXPECT_NEAR(h.mean(), 44.0 / 11.0, 1e-12);
-  const auto values = h.values();
-  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
-}
-
-TEST(Stats, HistogramMerge) {
-  Histogram a, b;
-  a.add(1);
-  a.add(2);
-  b.add(2);
-  b.add(3);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.at(2), 2u);
-}
-
 TEST(Table, FormatsAlignedColumns) {
   Table t({"n", "value"});
   t.add_row({"1", "10.5"});
